@@ -10,8 +10,6 @@
 * :mod:`repro.core.kernels` — fused zero-allocation evaluation kernels
   behind the Monte-Carlo engine (workspace reuse, float64/float32 dtype
   policy).
-* :mod:`repro.core.backends` — pluggable kernel execution backends
-  (serial numpy, bit-identical threaded blocks, optional numba/cupy).
 * :mod:`repro.core.tailsampling` — importance-sampling estimation of
   high-sigma chip-delay tails (mean-shifted / mixture proposals with
   exact likelihood-ratio weights, adaptive shift search, ESS
@@ -33,14 +31,6 @@ from repro.core.chip_delay import (
     sample_chip_delays,
     chip_delay_quantile,
     chip_delay_cdf,
-)
-from repro.core.backends import (
-    BACKENDS,
-    KernelBackend,
-    available_backends,
-    backend_manifest,
-    get_backend,
-    resolve_backend,
 )
 from repro.core.kernels import MonteCarloKernel, WorkspaceArena
 from repro.core.montecarlo import MonteCarloEngine
@@ -68,12 +58,6 @@ __all__ = [
     "MonteCarloEngine",
     "MonteCarloKernel",
     "WorkspaceArena",
-    "BACKENDS",
-    "KernelBackend",
-    "available_backends",
-    "backend_manifest",
-    "get_backend",
-    "resolve_backend",
     "VariationAnalyzer",
     "DelayDistribution",
     "VariationSweep",

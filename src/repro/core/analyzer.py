@@ -105,26 +105,17 @@ class VariationAnalyzer:
         return self.tech.fo4_unit(vdd)
 
     def monte_carlo(self, seed: int | None = 0,
-                    precision: str | None = None,
-                    backend: str | None = None,
-                    block_elems: int | None = None) -> MonteCarloEngine:
+                    precision: str | None = None) -> MonteCarloEngine:
         """A per-gate Monte-Carlo engine sharing this analyzer's card.
 
-        ``precision``, ``backend`` and ``block_elems`` default to the
-        active runtime's policies (``--mc-precision`` / ``--backend`` /
-        ``--block-elems``), or float64 on the serial numpy backend
-        without one.
+        ``precision`` defaults to the active runtime's dtype policy
+        (``--mc-precision``), or float64 without one.
         """
         runtime = current_runtime()
         if precision is None:
             precision = (runtime.precision if runtime is not None
                          else "float64")
-        if backend is None:
-            backend = runtime.backend if runtime is not None else "numpy"
-        if block_elems is None and runtime is not None:
-            block_elems = runtime.block_elems
-        return MonteCarloEngine(self.tech, seed=seed, precision=precision,
-                                backend=backend, block_elems=block_elems)
+        return MonteCarloEngine(self.tech, seed=seed, precision=precision)
 
     # -- circuit level ---------------------------------------------------------
 
@@ -333,8 +324,7 @@ class VariationAnalyzer:
 
         Sharding goes through the runtime's :class:`ParallelSampler`
         when one is active (the estimate is jobs-invariant either way);
-        precision/backend/blocking follow the runtime like
-        :meth:`monte_carlo`.
+        precision follows the runtime like :meth:`monte_carlo`.
         """
         runtime = current_runtime()
         return TailSampler(
@@ -343,9 +333,7 @@ class VariationAnalyzer:
             chain_length=self.chain_length, spares=spares,
             sampler=runtime.sampler if runtime is not None else None,
             precision=(runtime.precision if runtime is not None
-                       else "float64"),
-            backend=runtime.backend if runtime is not None else "numpy",
-            block_elems=runtime.block_elems if runtime is not None else None)
+                       else "float64"))
 
     _TAIL_FIELDS = ("value", "ess", "wmr", "rounds", "shift")
 

@@ -26,29 +26,21 @@ replaces that storm with
   its own :class:`numpy.random.SeedSequence` child, which makes results
   invariant to ``batch_size`` — batching becomes a pure memory knob —
   and lets the fused path evaluate in cache-sized internal blocks
-  without changing a single bit of the output;
-* a **pluggable execution backend** (:mod:`repro.core.backends`):
-  because the internal blocks are independent and batch-invariant, the
-  block loop is an execution-policy seam.  ``backend="threaded"``
-  dispatches blocks across a shared thread pool with one workspace
-  arena *per worker thread* writing into disjoint ``out=`` slices —
-  bit-identical to serial by construction; optional ``numba``/``cupy``
-  backends accelerate the per-path delay-sum chain itself (rtol-gated
-  parity) and degrade to ``numpy`` with a warning when not installed.
+  (:data:`DEFAULT_BLOCK_ELEMS`) without changing a single bit of the
+  output.  The blocks are independent and run serially, in place, on
+  the calling thread.
 
 The float64 fused path is **bit-identical** to the reference path
 (``fused=False``), which preserves the naive allocate-per-temporary
 evaluation through :meth:`TechnologyNode.fo4_delay` for parity tests
-and benchmarking (``benchmarks/bench_montecarlo.py``; per-backend
-parity lives in ``benchmarks/bench_backends.py``).  Bit-identity holds
-because every fused in-place ufunc replays the exact operation sequence
-of the reference chain — only the destinations change.
+and benchmarking (``benchmarks/bench_montecarlo.py``).  Bit-identity
+holds because every fused in-place ufunc replays the exact operation
+sequence of the reference chain — only the destinations change.
 
 Observability: kernels emit ``kernels.batches`` / ``kernels.blocks`` /
-``kernels.gate_evals`` counters, a ``kernels.workspace_bytes`` gauge
-(every arena *including float32 staging buffers*), and a
-``kernels.backend.<name>`` marker gauge on the active metrics registry
-(no-ops when observability is off).
+``kernels.gate_evals`` counters and a ``kernels.workspace_bytes`` gauge
+(every arena *including float32 staging buffers*) on the active metrics
+registry (no-ops when observability is off).
 """
 
 from __future__ import annotations
@@ -57,7 +49,6 @@ import threading
 
 import numpy as np
 
-from repro.core.backends import DEFAULT_BACKEND, resolve_backend
 from repro.errors import ConfigurationError
 from repro.obs.api import counter as _obs_counter
 from repro.obs.api import gauge as _obs_gauge
@@ -98,13 +89,12 @@ def _softplus_into(x, out):
 class WorkspaceArena:
     """Named grow-only buffer pool for one evaluation context.
 
-    A kernel owns one arena per thread that evaluates blocks through it
-    (exactly one — the caller's — under the serial backends).  Buffers
-    are flat, keyed by name, and only ever grow; :meth:`ws` returns a
-    correctly-shaped view.  ``nbytes`` counts *every* buffer, including
-    the float64 ``staging`` buffer the float32 dtype policy draws
-    through — staging is real resident memory and is accounted like any
-    other workspace.
+    A kernel owns one arena per thread that evaluates batches through
+    it.  Buffers are flat, keyed by name, and only ever grow; :meth:`ws`
+    returns a correctly-shaped view.  ``nbytes`` counts *every* buffer,
+    including the float64 ``staging`` buffer the float32 dtype policy
+    draws through — staging is real resident memory and is accounted
+    like any other workspace.
     """
 
     __slots__ = ("_dtype", "_buffers")
@@ -159,24 +149,15 @@ class MonteCarloKernel:
     block_elems:
         Per-workspace element budget for the fused path's internal
         blocking (see :data:`DEFAULT_BLOCK_ELEMS`); ``None`` selects
-        the default.
-    backend:
-        Execution policy for the independent internal blocks — a name
-        from :data:`~repro.core.backends.BACKENDS` or a
-        :class:`~repro.core.backends.KernelBackend` instance.  Missing
-        optional backends degrade to ``"numpy"`` with a warning.
+        the default.  Block boundaries never change the output bits.
 
-    Under the serial backends a kernel is **not** thread-safe; share
-    one per process (pool workers memoise kernels per card / precision
-    / backend), not across concurrent callers.  The ``threaded``
-    backend parallelises *inside* a batch call — concurrent worker
-    threads each evaluate against their own :class:`WorkspaceArena` —
-    but concurrent *batch* calls on one kernel remain unsupported.
+    Each calling thread evaluates against its own
+    :class:`WorkspaceArena`, so threads never share evaluation buffers;
+    pool workers memoise one kernel per card and precision.
     """
 
     def __init__(self, tech, precision: str = "float64", fused: bool = True,
-                 block_elems: int | None = DEFAULT_BLOCK_ELEMS,
-                 backend=DEFAULT_BACKEND) -> None:
+                 block_elems: int | None = DEFAULT_BLOCK_ELEMS) -> None:
         if precision not in PRECISIONS:
             raise ConfigurationError(
                 f"precision must be one of {PRECISIONS}, got {precision!r}")
@@ -190,8 +171,6 @@ class MonteCarloKernel:
         self.fused = bool(fused)
         self.block_elems = int(block_elems)
         self._dtype = np.dtype(precision)
-        self._backend = resolve_backend(backend)
-        self.backend = self._backend.name
         self._arenas: dict = {}
         self._arena_lock = threading.Lock()
 
@@ -205,10 +184,8 @@ class MonteCarloKernel:
     def arena(self) -> WorkspaceArena:
         """The calling thread's workspace arena (created on first use).
 
-        Serial backends only ever touch the caller's arena; the
-        ``threaded`` backend calls this from each pool worker, giving
-        every thread private evaluation buffers with zero locking on
-        the hot path.
+        Every thread gets private evaluation buffers with zero locking
+        on the hot path.
         """
         key = threading.get_ident()
         arena = self._arenas.get(key)
@@ -221,19 +198,17 @@ class MonteCarloKernel:
     @property
     def workspace_nbytes(self) -> int:
         """Total bytes held by every arena (all threads, staging
-        included) plus any backend-owned device workspaces."""
+        included)."""
         with self._arena_lock:
             arenas = list(self._arenas.values())
-        return (sum(arena.nbytes for arena in arenas)
-                + int(self._backend.workspace_nbytes))
+        return sum(arena.nbytes for arena in arenas)
 
     def workspace_breakdown(self) -> dict:
         """``{buffer name: total bytes}`` aggregated across arenas.
 
         The float32 policy's float64 ``staging`` buffer appears as its
         own entry, so the accounting asserted by the tests covers it
-        explicitly; ``sum(values)`` equals the host part of
-        :attr:`workspace_nbytes`.
+        explicitly; ``sum(values)`` equals :attr:`workspace_nbytes`.
         """
         with self._arena_lock:
             arenas = list(self._arenas.values())
@@ -244,14 +219,13 @@ class MonteCarloKernel:
         return total
 
     def release_workspaces(self) -> None:
-        """Drop every workspace buffer — all thread arenas and any
-        backend device buffers (they regrow on the next batch)."""
+        """Drop every thread arena's buffers (they regrow on the next
+        batch)."""
         with self._arena_lock:
             arenas = list(self._arenas.values())
             self._arenas.clear()
         for arena in arenas:
             arena.release()
-        self._backend.release_workspaces()
 
     def _alloc(self, arena: WorkspaceArena, name: str, shape, dtype=None):
         """Workspace view (fused) or a fresh allocation (reference)."""
@@ -305,12 +279,8 @@ class MonteCarloKernel:
         ``tech.fo4_delay(vdd, dvth, mult).sum(axis=-1)`` in float64: the
         in-place ufunc sequence replays the reference chain operation
         for operation, and the ``np.sum(..., out=...)`` keeps numpy's
-        pairwise reduction order.  An accelerator backend may take the
-        whole chain instead (:meth:`KernelBackend.path_sums`) — those
-        paths are rtol-gated, not bit-exact.
+        pairwise reduction order.
         """
-        if self._backend.path_sums(self, float(vdd), dvth, mult, out):
-            return
         mos = self.tech.mosfet
         dt = self._dtype.type
         two_n_vt = 2.0 * mos.n_slope * mos.thermal_voltage
@@ -357,9 +327,7 @@ class MonteCarloKernel:
     def _spans(self, total_rows: int, row_elems: int) -> list:
         """Deterministic ``(start, stop)`` block spans for one batch.
 
-        Depends only on ``(total_rows, row_elems, block_elems, fused)``
-        — never on the backend — which is what makes the threaded
-        dispatch bit-identical to the serial loop.
+        Depends only on ``(total_rows, row_elems, block_elems, fused)``.
         """
         block = self._block_rows(total_rows, row_elems)
         return [(start, min(start + block, int(total_rows)))
@@ -377,8 +345,7 @@ class MonteCarloKernel:
         draw order: die pair, lane vectors, gate threshold fill, gate
         multiplier fill — so the output depends only on each chip's
         :class:`~numpy.random.SeedSequence` child, never on batch or
-        block boundaries (or on which backend thread evaluates the
-        block).
+        block boundaries.
 
         ``proposal`` (a :class:`~repro.core.tailsampling.ShiftProposal`)
         switches the batch to importance sampling: the d2d / lane
@@ -399,21 +366,19 @@ class MonteCarloKernel:
         if proposal is not None and logw_out is None:
             raise ConfigurationError(
                 "system_batch with a proposal needs logw_out")
-
-        def block(arena, start, stop):
+        arena = self.arena()
+        for start, stop in spans:
             self._system_block(
                 arena, rngs[start:stop], vdd, n_lanes, paths_per_lane,
                 chain_length, spares, out[start:stop], proposal=proposal,
                 logw=None if logw_out is None else logw_out[start:stop],
                 d2d=None if d2d_out is None else d2d_out[start:stop])
-
-        self._backend.run_blocks(self, block, spans)
         self._record(total, total * row_elems, len(spans))
 
     def _system_block(self, arena, rngs, vdd, n_lanes, paths_per_lane,
                       chain_length, spares, out, proposal=None, logw=None,
                       d2d=None) -> None:
-        """One internal block of :meth:`system_batch` (thread-confined)."""
+        """One internal block of :meth:`system_batch`."""
         var = self.tech.variation
         nb = len(rngs)
         shape = (nb, n_lanes, paths_per_lane, chain_length)
@@ -469,17 +434,15 @@ class MonteCarloKernel:
         total = len(rngs)
         row_elems = paths_per_lane * chain_length
         spans = self._spans(total, row_elems)
-
-        def block(arena, start, stop):
+        arena = self.arena()
+        for start, stop in spans:
             self._lane_block(arena, rngs[start:stop], vdd, paths_per_lane,
                              chain_length, out[start:stop])
-
-        self._backend.run_blocks(self, block, spans)
         self._record(total, total * row_elems, len(spans))
 
     def _lane_block(self, arena, rngs, vdd, paths_per_lane, chain_length,
                     out) -> None:
-        """One internal block of :meth:`lane_batch` (thread-confined)."""
+        """One internal block of :meth:`lane_batch`."""
         var = self.tech.variation
         nb = len(rngs)
         shape = (nb, paths_per_lane, chain_length)
@@ -514,8 +477,7 @@ class MonteCarloKernel:
         generator), so chain results for a given seed are unchanged by
         the kernel rewrite.  Draws are single-stream and therefore
         serial; the fused *evaluation* still blocks over rows (the
-        per-row delay sums are independent), so the threaded backend
-        parallelises this path too without moving a bit.
+        per-row delay sums are independent) without moving a bit.
         """
         var = self.tech.variation
         vdd = float(vdd)
@@ -534,12 +496,9 @@ class MonteCarloKernel:
                 np.add(a, self._cast(corr)[:, None], out=a)
             out = np.empty(n_samples, dtype=self._dtype)
             spans = self._spans(n_samples, chain_length)
-
-            def block(blk_arena, start, stop):
-                self._fused_path_sums(blk_arena, vdd, a[start:stop],
+            for start, stop in spans:
+                self._fused_path_sums(arena, vdd, a[start:stop],
                                       m[start:stop], out[start:stop])
-
-            self._backend.run_blocks(self, block, spans)
             if include_die:
                 np.multiply(out, self._cast(corr_mult), out=out)
         else:
@@ -555,13 +514,9 @@ class MonteCarloKernel:
     # -- observability -------------------------------------------------------
 
     def _record(self, rows: int, gate_evals: int, blocks: int) -> None:
-        """One batch's counters, recorded on the *calling* thread.
-
-        Aggregated per batch (not per block) so worker threads never
-        race on the registry; the workspace gauge reflects every arena.
-        """
+        """One batch's counters, aggregated per batch (not per block);
+        the workspace gauge reflects every arena."""
         _obs_counter("kernels.batches").inc()
         _obs_counter("kernels.blocks").inc(int(blocks))
         _obs_counter("kernels.gate_evals").inc(int(gate_evals))
         _obs_gauge("kernels.workspace_bytes").set(self.workspace_nbytes)
-        _obs_gauge(f"kernels.backend.{self.backend}").set(1.0)

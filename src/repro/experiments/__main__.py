@@ -30,7 +30,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.core.backends import BACKENDS, backend_manifest
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.experiments.registry import list_experiments, run_experiment
 from repro.obs.manifest import build_manifest, cache_file_state, write_manifest
@@ -196,16 +195,6 @@ def main(argv=None) -> int:
                         help="Monte-Carlo kernel dtype policy: float64 "
                              "(default, bit-exact reference) or float32 "
                              "(~2x bandwidth for validation sweeps)")
-    parser.add_argument("--backend", choices=BACKENDS, default="numpy",
-                        help="Monte-Carlo kernel execution backend: numpy "
-                             "(default, serial), threaded (blocks across a "
-                             "thread pool, bit-identical), numba or cupy "
-                             "(optional accelerators; fall back to numpy "
-                             "with a warning when not installed)")
-    parser.add_argument("--block-elems", type=int, default=None, metavar="N",
-                        help="kernel internal block budget in elements "
-                             "(>= 1; default 1e6) — the tuning knob for "
-                             "how much work each backend block carries")
     args = parser.parse_args(argv)
 
     if args.jobs < 1:
@@ -234,9 +223,7 @@ def main(argv=None) -> int:
                                 trace=bool(args.trace),
                                 metrics=bool(args.metrics),
                                 retry=retry, faults=faults,
-                                precision=args.mc_precision,
-                                backend=args.backend,
-                                block_elems=args.block_elems)
+                                precision=args.mc_precision)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -257,8 +244,6 @@ def main(argv=None) -> int:
                     batch_window_ms=args.batch_window_ms,
                     max_queue=args.max_queue,
                     deadline_ms=args.deadline_ms,
-                    backend=args.backend,
-                    block_elems=args.block_elems,
                     window_s=args.window_s,
                     slo_availability=args.slo_availability,
                     slo_latency_ms=args.slo_latency_ms,
@@ -310,7 +295,6 @@ def main(argv=None) -> int:
             cache_after=cache_file_state(), elapsed_wall_s=elapsed_wall_s,
             trace_file=args.trace, resilience=runtime.ledger.as_dict(),
             faults=args.inject_faults,
-            backends=backend_manifest(args.backend),
             flight=flight_snapshot)
         write_manifest(args.metrics, manifest)
         print(f"[run manifest written to {args.metrics}]", file=sys.stderr)

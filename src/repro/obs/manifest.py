@@ -30,7 +30,7 @@ __all__ = ["MANIFEST_SCHEMA", "TRACE_SCHEMA", "TIMING_KEYS",
            "build_manifest", "write_manifest", "cache_file_state",
            "strip_timing", "validate_schema"]
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 #: Key names (exact) holding wall-clock data; stripped when comparing
 #: manifests for determinism.  ``t_s`` is the flight recorder's event
@@ -69,7 +69,6 @@ def build_manifest(*, targets, fast: bool, jobs: int, root_seed: int,
                    trace_file: str | None = None,
                    resilience: dict | None = None,
                    faults: str | None = None,
-                   backends: dict | None = None,
                    flight: dict | None = None) -> dict:
     """Assemble the provenance manifest for one finished run.
 
@@ -79,23 +78,17 @@ def build_manifest(*, targets, fast: bool, jobs: int, root_seed: int,
     snapshotted, not referenced.  ``resilience`` is the run's fault
     ledger (:meth:`~repro.resilience.ledger.FaultLedger.as_dict`) and
     ``faults`` the ``--inject-faults`` spec, if any — together they make
-    every recovery auditable from the artifact alone.  ``backends`` is
-    the kernel-backend section from
-    :func:`repro.core.backends.backend_manifest` (what was requested,
-    what actually ran, whether a fallback fired); ``None`` records the
-    default numpy backend.  ``flight`` is the serving flight-recorder
-    snapshot (:meth:`repro.obs.flight.FlightRecorder.snapshot`), attached
-    only for serve runs so one-shot experiment manifests stay unchanged.
+    every recovery auditable from the artifact alone.  ``flight`` is the
+    serving flight-recorder snapshot
+    (:meth:`repro.obs.flight.FlightRecorder.snapshot`), attached only for
+    serve runs so one-shot experiment manifests stay unchanged.
     """
     import numpy as np
 
     from repro._version import __version__
-    from repro.core.backends import backend_manifest
     from repro.devices.technology import available_technologies, get_technology
     from repro.runtime.cache import technology_fingerprint
 
-    if backends is None:
-        backends = backend_manifest("numpy")
     metric_snap = metrics.as_dict() if metrics is not None else {}
     counters = metric_snap.get("counters", {})
     manifest = {
@@ -122,7 +115,6 @@ def build_manifest(*, targets, fast: bool, jobs: int, root_seed: int,
             "hits": int(counters.get("quantile_cache.hits", 0)),
             "misses": int(counters.get("quantile_cache.misses", 0)),
         },
-        "backends": backends,
         "stages": profiler.as_dict() if profiler is not None else {},
         "metrics": metric_snap,
         "resilience": (resilience if resilience is not None
@@ -168,7 +160,7 @@ _STAGE_SCHEMA = {
 MANIFEST_SCHEMA = {
     "type": "object",
     "required": ["manifest_version", "kind", "run", "environment", "cards",
-                 "cache", "backends", "stages", "metrics", "resilience",
+                 "cache", "stages", "metrics", "resilience",
                  "timing"],
     "properties": {
         "manifest_version": {"type": "number"},
@@ -189,18 +181,6 @@ MANIFEST_SCHEMA = {
                          "python_version"],
         },
         "cards": {"type": "object"},
-        "backends": {
-            "type": "object",
-            "required": ["requested", "active", "fallback", "available",
-                         "bit_parity"],
-            "properties": {
-                "requested": {"type": "string"},
-                "active": {"type": "string"},
-                "fallback": {"type": "boolean"},
-                "available": {"type": "array", "items": {"type": "string"}},
-                "bit_parity": {"type": "boolean"},
-            },
-        },
         "cache": {
             "type": "object",
             "required": ["before", "after", "hits", "misses"],

@@ -63,15 +63,6 @@ class ReproRuntime:
         ``"float32"`` for bandwidth-bound validation sweeps); consumed
         by :meth:`~repro.core.analyzer.VariationAnalyzer.monte_carlo`
         and the sampler's MC shards — see :mod:`repro.core.kernels`.
-    backend:
-        Kernel execution backend for the run's Monte-Carlo shards
-        (``"numpy"`` default, ``"threaded"``, ``"numba"``, ``"cupy"``)
-        — see :mod:`repro.core.backends`.  Plumbed exactly like
-        ``precision``: the analyzer and the sampler's MC shards pick it
-        up from the active runtime.
-    block_elems:
-        Per-workspace element budget for the kernels' internal blocking
-        (``None`` = kernel default); the tuning knob per backend.
     """
 
     jobs: int = 1
@@ -82,8 +73,6 @@ class ReproRuntime:
     ledger: FaultLedger = field(default_factory=FaultLedger)
     faults: object = None
     precision: str = "float64"
-    backend: str = "numpy"
-    block_elems: int | None = None
 
     def close(self) -> None:
         if self.sampler is not None:

@@ -179,14 +179,12 @@ _WORKER_ENGINES: dict = {}
 _WORKER_KERNELS: dict = {}
 
 
-def _mc_kernel(tech, precision: str, backend: str = "numpy",
-               block_elems: int | None = None) -> MonteCarloKernel:
+def _mc_kernel(tech, precision: str) -> MonteCarloKernel:
     """Per-process Monte-Carlo kernel memo (workspaces amortise across shards)."""
-    key = (tech, precision, backend, block_elems)
+    key = (tech, precision)
     kernel = _WORKER_KERNELS.get(key)
     if kernel is None:
-        kernel = MonteCarloKernel(tech, precision=precision,
-                                  backend=backend, block_elems=block_elems)
+        kernel = MonteCarloKernel(tech, precision=precision)
         _WORKER_KERNELS[key] = kernel
     return kernel
 
@@ -194,9 +192,9 @@ def _mc_kernel(tech, precision: str, backend: str = "numpy",
 def release_worker_workspaces() -> int:
     """Drop every memoised kernel's workspaces in this process.
 
-    The kernels stay memoised (their compiled/backed state is cheap);
-    only the grow-only evaluation buffers are released, and they regrow
-    on the next shard.  Long-lived servers call this when the request
+    The kernels stay memoised (they are cheap to keep); only the
+    grow-only evaluation buffers are released, and they regrow on the
+    next shard.  Long-lived servers call this when the request
     queue drains idle, and the sampler's serial fallback calls it after
     each in-process shard, so one oversized request does not pin its
     peak workspace footprint forever.  Returns the number of bytes
@@ -268,9 +266,7 @@ def _run_shard(core, task: dict):
 def _system_delays_core(task: dict) -> np.ndarray:
     """One shard of per-gate Monte-Carlo chip delays."""
     rng = np.random.default_rng(task["seed"])
-    kernel = _mc_kernel(task["tech"], task.get("precision", "float64"),
-                        task.get("backend", "numpy"),
-                        task.get("block_elems"))
+    kernel = _mc_kernel(task["tech"], task.get("precision", "float64"))
     engine = MonteCarloEngine(task["tech"], rng=rng, kernel=kernel)
     return engine.system_delays(
         task["vdd"], width=task["width"],
@@ -290,9 +286,7 @@ def _weighted_delays_core(task: dict) -> np.ndarray:
     """
     from repro.core.tailsampling import ShiftProposal
     rng = np.random.default_rng(task["seed"])
-    kernel = _mc_kernel(task["tech"], task.get("precision", "float64"),
-                        task.get("backend", "numpy"),
-                        task.get("block_elems"))
+    kernel = _mc_kernel(task["tech"], task.get("precision", "float64"))
     engine = MonteCarloEngine(task["tech"], rng=rng, kernel=kernel)
     chips = int(task["chips"])
     delays, logw = engine.weighted_system_delays(
@@ -733,28 +727,18 @@ class ParallelSampler:
     def system_delays(self, tech, vdd, *, width: int, paths_per_lane: int,
                       chain_length: int, n_chips: int, spares: int = 0,
                       batch_size: int = 64, root_seed=0,
-                      precision: str = "float64",
-                      backend: str = "numpy",
-                      block_elems: int | None = None) -> np.ndarray:
+                      precision: str = "float64") -> np.ndarray:
         """Sharded :meth:`MonteCarloEngine.system_delays` (seconds).
 
         Bit-identical for a given ``(root_seed, shard_size)`` regardless
         of ``jobs`` (and of ``batch_size`` — the engine spawns per-chip
-        streams).  ``precision`` selects the kernels' dtype policy;
-        ``backend`` their execution backend (the ``threaded`` backend
-        keeps bit-identity and composes with process sharding — threads
-        inside each worker, shards across workers) and ``block_elems``
-        their internal block budget.  Backend names travel in the task
-        dicts and resolve *inside* each worker, so a missing optional
-        backend degrades per-process with a warning.
+        streams).  ``precision`` selects the kernels' dtype policy.
         """
         tasks = self._tasks(n_chips, root_seed, dict(
             tech=tech, vdd=float(vdd), width=int(width),
             paths_per_lane=int(paths_per_lane),
             chain_length=int(chain_length), spares=int(spares),
-            batch_size=int(batch_size), precision=str(precision),
-            backend=str(backend),
-            block_elems=None if block_elems is None else int(block_elems)))
+            batch_size=int(batch_size), precision=str(precision)))
         return self._run(_system_delays_shard, tasks,
                          "sampler.system_delays", n_chips,
                          result_dtype=np.dtype(precision))
@@ -763,9 +747,7 @@ class ParallelSampler:
                                paths_per_lane: int, chain_length: int,
                                n_chips: int, proposal, spares: int = 0,
                                batch_size: int = 64, root_seed=0,
-                               precision: str = "float64",
-                               backend: str = "numpy",
-                               block_elems: int | None = None) -> tuple:
+                               precision: str = "float64") -> tuple:
         """Sharded :meth:`MonteCarloEngine.weighted_system_delays`.
 
         Returns ``(delays, logw)``, both float64 and ``n_chips`` long.
@@ -784,9 +766,6 @@ class ParallelSampler:
                       paths_per_lane=int(paths_per_lane),
                       chain_length=int(chain_length), spares=int(spares),
                       batch_size=int(batch_size), precision=str(precision),
-                      backend=str(backend),
-                      block_elems=None if block_elems is None
-                      else int(block_elems),
                       proposal=proposal.as_dict())
         tasks = [dict(common, n=2 * count, chips=int(count), seed=seed,
                       shard=i)

@@ -117,10 +117,7 @@ class ServeConfig:
     ``port=0`` lets the OS pick a free port (announced on stdout by
     :func:`run_server` and available as ``SignoffServer.port``).
     ``deadline_ms=None`` defaults each request's deadline to the retry
-    policy's ``shard_timeout_s``.  ``backend``/``block_elems`` select
-    the Monte-Carlo kernel execution backend and block budget for any
-    runtime the server builds itself (a caller-supplied runtime keeps
-    its own policies).
+    policy's ``shard_timeout_s``.
 
     Telemetry knobs: ``window_s`` sizes the rolling window behind the
     live latency/QPS/error-rate gauges; ``slo_availability`` and
@@ -142,8 +139,6 @@ class ServeConfig:
     batch_window_ms: float = 2.0
     max_queue: int = 1024
     deadline_ms: float | None = None
-    backend: str = "numpy"
-    block_elems: int | None = None
     window_s: float = 60.0
     slo_availability: float = 0.999
     slo_latency_ms: float = 250.0
@@ -153,7 +148,6 @@ class ServeConfig:
     drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
-        from repro.core.backends import BACKENDS
         if not 0 <= int(self.port) <= 65535:
             raise ConfigurationError(f"port must be in [0, 65535], got {self.port}")
         if int(self.max_batch) < 1:
@@ -168,12 +162,6 @@ class ServeConfig:
         if self.deadline_ms is not None and float(self.deadline_ms) <= 0:
             raise ConfigurationError(
                 f"deadline_ms must be > 0, got {self.deadline_ms}")
-        if str(self.backend) not in BACKENDS:
-            raise ConfigurationError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.block_elems is not None and int(self.block_elems) < 1:
-            raise ConfigurationError(
-                f"block_elems must be >= 1, got {self.block_elems}")
         if float(self.window_s) <= 0:
             raise ConfigurationError(
                 f"window_s must be > 0, got {self.window_s}")
@@ -203,9 +191,7 @@ class SignoffServer:
         self.config = config
         self._owns_runtime = runtime is None
         if runtime is None:
-            runtime = build_runtime(jobs=1, metrics=True,
-                                    backend=config.backend,
-                                    block_elems=config.block_elems)
+            runtime = build_runtime(jobs=1, metrics=True)
         if not runtime.obs.metrics.enabled:
             # The dispatcher's coalescing stats double as its accounting;
             # serving without a live registry is never worth the saving.

@@ -1,11 +1,12 @@
 """Fused Monte-Carlo kernels: parity, dtype policy, shm transport."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from repro.core.kernels import MonteCarloKernel
+from repro.core.kernels import DEFAULT_BLOCK_ELEMS, MonteCarloKernel
 from repro.core.montecarlo import MonteCarloEngine
 from repro.devices.technology import available_technologies, get_technology
 from repro.errors import ConfigurationError
@@ -13,10 +14,14 @@ from repro.obs.api import activate_obs, build_obs
 from repro.obs.metrics import NOOP_METRICS
 from repro.resilience import FaultLedger, activate_ledger, install_faults, \
     parse_faults
-from repro.runtime import ParallelSampler
+from repro.runtime import ParallelSampler, release_worker_workspaces
 
 SMALL_ARCH = dict(width=4, paths_per_lane=3, chain_length=5)
 SYS_KW = dict(width=6, paths_per_lane=4, chain_length=7, spares=1)
+
+#: Small enough that every batch below splits into several internal
+#: blocks.
+TINY_BLOCKS = 97
 
 
 # -- float64 fused vs reference parity ----------------------------------------
@@ -69,6 +74,48 @@ def test_internal_blocking_is_invisible(tech90):
     kw = dict(n_chips=33, batch_size=33, **SYS_KW)
     np.testing.assert_array_equal(tiny_blocks.system_delays(0.6, **kw),
                                   whole_batch.system_delays(0.6, **kw))
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+@pytest.mark.parametrize("node", available_technologies())
+def test_multi_block_system_parity_matrix(node, precision):
+    """4 nodes x both precisions: block boundaries never move a bit."""
+    tech = get_technology(node)
+    kw = dict(n_chips=24, batch_size=24, **SYS_KW)
+    ref = MonteCarloEngine(tech, seed=3,
+                           precision=precision).system_delays(0.6, **kw)
+    blocked = MonteCarloEngine(tech, seed=3, precision=precision,
+                               block_elems=TINY_BLOCKS
+                               ).system_delays(0.6, **kw)
+    np.testing.assert_array_equal(blocked, ref)
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_multi_block_lane_and_chain_bit_identical(tech90, precision):
+    ref = MonteCarloEngine(tech90, seed=5, precision=precision)
+    blocked = MonteCarloEngine(tech90, seed=5, precision=precision,
+                               block_elems=29)
+    np.testing.assert_array_equal(
+        blocked.lane_delays(0.55, paths_per_lane=4, chain_length=6,
+                            n_samples=40, batch_size=40),
+        ref.lane_delays(0.55, paths_per_lane=4, chain_length=6,
+                        n_samples=40, batch_size=40))
+    np.testing.assert_array_equal(blocked.chain_delays(0.5, 12, 50),
+                                  ref.chain_delays(0.5, 12, 50))
+
+
+def test_multi_block_fused_matches_reference_path(tech90):
+    kw = dict(n_chips=16, batch_size=16, **SYS_KW)
+    blocked = MonteCarloEngine(tech90, seed=7, block_elems=TINY_BLOCKS
+                               ).system_delays(0.6, **kw)
+    ref = MonteCarloEngine(tech90, seed=7, fused=False).system_delays(
+        0.6, **kw)
+    np.testing.assert_array_equal(blocked, ref)
+
+
+def test_kernel_accepts_none_block_elems(tech90):
+    kernel = MonteCarloKernel(tech90, block_elems=None)
+    assert kernel.block_elems == DEFAULT_BLOCK_ELEMS
 
 
 # -- batch-size invariance (per-chip streams) ---------------------------------
@@ -146,6 +193,59 @@ def test_workspaces_are_reused(tech90):
     assert kernel.workspace_nbytes == after_first
     kernel.release_workspaces()
     assert kernel.workspace_nbytes == 0
+
+
+def test_workspace_breakdown_counts_float32_staging(tech90):
+    kernel = MonteCarloKernel(tech90, precision="float32")
+    engine = MonteCarloEngine(tech90, kernel=kernel, seed=0)
+    engine.system_delays(0.6, n_chips=8, batch_size=8, **SMALL_ARCH)
+    breakdown = kernel.workspace_breakdown()
+    # One float64 staging row per gate slab: (lanes, paths, chain) doubles.
+    lanes = SMALL_ARCH["width"]
+    elems = lanes * SMALL_ARCH["paths_per_lane"] * SMALL_ARCH["chain_length"]
+    assert breakdown["staging"] == elems * 8
+    assert kernel.workspace_nbytes == sum(breakdown.values())
+
+
+def test_float64_kernel_has_no_staging(tech90):
+    kernel = MonteCarloKernel(tech90)
+    engine = MonteCarloEngine(tech90, kernel=kernel, seed=0)
+    engine.system_delays(0.6, n_chips=8, batch_size=8, **SMALL_ARCH)
+    breakdown = kernel.workspace_breakdown()
+    assert "staging" not in breakdown
+    assert kernel.workspace_nbytes == sum(breakdown.values())
+
+
+def test_arenas_release_across_threads(tech22):
+    """Each thread evaluates into its own arena; release drops them all."""
+    kernel = MonteCarloKernel(tech22, block_elems=TINY_BLOCKS)
+    kw = dict(n_chips=20, batch_size=20, **SYS_KW)
+    outs = [None, None]
+
+    def run(i):
+        engine = MonteCarloEngine(tech22, kernel=kernel, seed=0)
+        outs[i] = engine.system_delays(0.6, **kw)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    np.testing.assert_array_equal(outs[0], outs[1])
+    single = MonteCarloKernel(tech22, block_elems=TINY_BLOCKS)
+    MonteCarloEngine(tech22, kernel=single, seed=0).system_delays(0.6, **kw)
+    assert kernel.workspace_nbytes == 2 * single.workspace_nbytes
+    kernel.release_workspaces()
+    assert kernel.workspace_nbytes == 0
+
+
+def test_release_worker_workspaces_frees_driver_kernels(tech90):
+    release_worker_workspaces()   # start clean (module-global memo)
+    with ParallelSampler(1, shard_size=16) as sampler:
+        sampler.system_delays(tech90, 0.6, n_chips=32, spares=0,
+                              root_seed=3, **SMALL_ARCH)
+    assert release_worker_workspaces() > 0
+    assert release_worker_workspaces() == 0
 
 
 def test_fo4_delay_scalar_mult_fast_path(tech90):

@@ -26,7 +26,9 @@ from repro.resilience import (
     install_faults,
     parse_faults,
 )
-from repro.runtime import ParallelSampler, QuantileCache, build_runtime
+from repro.core.montecarlo import MonteCarloEngine
+from repro.runtime import ParallelSampler, QuantileCache, build_runtime, \
+    release_worker_workspaces
 
 SMALL_ARCH = dict(width=4, paths_per_lane=3, chain_length=5)
 
@@ -176,6 +178,62 @@ def test_serial_fallback_after_respawn_exhaustion(tech90, serial_baseline):
     np.testing.assert_array_equal(out, serial_baseline)
     assert ledger.counts()["serial_fallback"] == 1
     assert metrics.counter("resilience.serial_fallbacks").value == 1
+
+
+def _system_delays_under_crash(tech, **kw):
+    """``system_delays`` with every shard crashing its worker, so the
+    dispatcher exhausts its respawn budget and falls back to serial."""
+    ledger = FaultLedger()
+    obs = build_obs(metrics=True)
+    with activate_obs(obs), activate_ledger(ledger), \
+            install_faults(parse_faults("worker_crash:0:inf")):
+        sampler = ParallelSampler(
+            2, shard_size=16, retry=RetryPolicy(max_pool_respawns=1))
+        try:
+            out = sampler.system_delays(tech, 0.6, **kw)
+        finally:
+            sampler.close()
+    return out, ledger
+
+
+def test_worker_crash_system_delays_bit_identical(tech90):
+    kw = dict(n_chips=64, spares=0, root_seed=11, batch_size=32,
+              **SMALL_ARCH)
+    with ParallelSampler(1, shard_size=16) as serial:
+        baseline = serial.system_delays(tech90, 0.6, **kw)
+    out, ledger = _system_delays_under_crash(tech90, **kw)
+    assert ledger.counts()["serial_fallback"] == 1
+    np.testing.assert_array_equal(out, baseline)
+
+
+def test_serial_fallback_releases_workspaces(tech90):
+    """The fallback path must not pin shard workspaces in the driver."""
+    release_worker_workspaces()
+    _, ledger = _system_delays_under_crash(
+        tech90, n_chips=48, spares=0, root_seed=3, batch_size=16,
+        **SMALL_ARCH)
+    assert ledger.counts()["serial_fallback"] == 1
+    # Every fallback shard released after itself: nothing left to free.
+    assert release_worker_workspaces() == 0
+
+
+def test_pool_after_in_process_multi_block_kernel_runs_in_workers(tech90):
+    """Forked workers must run their shards after the parent has used
+    multi-block kernels in-process.  A short shard timeout turns a hang
+    into a fast failure: the fallback would still return the right bits,
+    so the ledger must show neither a timeout nor a fallback."""
+    kw = dict(n_chips=64, spares=0, root_seed=1, **SMALL_ARCH)
+    MonteCarloEngine(tech90, seed=1, block_elems=97).system_delays(
+        0.6, width=8, paths_per_lane=5, chain_length=10, n_chips=64)
+    with ParallelSampler(1, shard_size=16) as serial:
+        baseline = serial.system_delays(tech90, 0.6, **kw)
+    ledger = FaultLedger()
+    with activate_ledger(ledger), ParallelSampler(
+            2, shard_size=16,
+            retry=RetryPolicy(shard_timeout_s=5.0)) as pooled:
+        out = pooled.system_delays(tech90, 0.6, **kw)
+    np.testing.assert_array_equal(out, baseline)
+    assert ledger.counts() == {}     # no hung_worker_timeout, no fallback
 
 
 def test_injected_worker_faults_do_not_fire_in_process(tech90,
