@@ -24,8 +24,8 @@ import numpy as np
 from repro.core.chip_delay import ChipDelayEngine
 from repro.core.montecarlo import MonteCarloEngine
 from repro.core.results import DelayDistribution
-from repro.core.tailsampling import (DEFAULT_DEFENSIVE_WEIGHT, ShiftProposal,
-                                     TailEstimate, TailSampler)
+from repro.core.tailsampling import (DEFAULT_DEFENSIVE_WEIGHT, SampleSetStore,
+                                     ShiftProposal, TailEstimate, TailSampler)
 from repro.devices.technology import TechnologyNode, get_technology
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.obs.api import counter as _obs_counter
@@ -81,6 +81,7 @@ class VariationAnalyzer:
                                else quantile_cache)
         self._signoff_cache: dict = {}
         self._tail_cache: dict = {}
+        self._tail_samples = SampleSetStore()
 
     # -- basic properties ----------------------------------------------------
 
@@ -324,7 +325,9 @@ class VariationAnalyzer:
 
         Sharding goes through the runtime's :class:`ParallelSampler`
         when one is active (the estimate is jobs-invariant either way);
-        precision follows the runtime like :meth:`monte_carlo`.
+        precision follows the runtime like :meth:`monte_carlo`.  Every
+        sampler shares this analyzer's one-entry sample-set store, so a
+        failure probability under a quantile's proposal reuses its draw.
         """
         runtime = current_runtime()
         return TailSampler(
@@ -333,7 +336,8 @@ class VariationAnalyzer:
             chain_length=self.chain_length, spares=spares,
             sampler=runtime.sampler if runtime is not None else None,
             precision=(runtime.precision if runtime is not None
-                       else "float64"))
+                       else "float64"),
+            store=self._tail_samples)
 
     _TAIL_FIELDS = ("value", "ess", "wmr", "rounds", "shift")
 
@@ -348,11 +352,18 @@ class VariationAnalyzer:
         search rounds, found shift), so a disk hit restores the full
         diagnostics and the adaptively-found proposal, not just the
         number.  ``tail.*`` gauges are (re-)emitted on hits so a serving
-        process's metrics reflect the last estimate either way.
+        process's metrics reflect the last estimate either way.  The
+        point is validated before any cache or sample-set probe.
         """
-        spares = int(spares)
-        if spares < 0:
-            raise ConfigurationError(f"spares must be >= 0, got {spares}")
+        vdd = float(vdd)
+        if not (np.isfinite(vdd) and vdd > 0.0):
+            raise ConfigurationError(
+                f"vdd must be finite and > 0 volts, got {vdd}")
+        s = float(spares)
+        if not (np.isfinite(s) and s >= 0.0 and s.is_integer()):
+            raise ConfigurationError(
+                f"tail spares must be a whole number >= 0, got {spares}")
+        spares = int(s)
         if n_samples < 2:
             raise ConfigurationError(
                 f"n_samples must be >= 2, got {n_samples}")

@@ -19,7 +19,6 @@ bars; these helpers make the sampling uncertainty explicit:
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import binom
 
 from repro.errors import ConfigurationError
 
@@ -33,6 +32,10 @@ def quantile_ci(samples, q: float, confidence: float = 0.95) -> tuple:
     at least ``confidence`` coverage (exact order-statistics/binomial
     construction; no distributional assumptions).
     """
+    # Imported here: scipy.stats costs ~0.5 s of import time, and no
+    # regeneration or serving path needs it.
+    from scipy.stats import binom
+
     samples = np.sort(np.asarray(samples, dtype=float))
     n = samples.size
     if n < 10:

@@ -21,11 +21,19 @@ a shifted proposal and reweighting:
   inherits the kernel layer's batch-size / worker-count invariance, and
   a zero-shift proposal reproduces plain sampling bit-for-bit;
 * each chip comes back with its log-likelihood ratio
-  ``log p(x) - log q(x)`` (exact, in standardized units), and the
-  self-normalized estimators — :func:`~repro.core.stats.weighted_quantile`
-  for tail quantiles, a weighted indicator mean for ``P(delay > t)`` —
-  consume the weights together with effective-sample-size (ESS) and
-  max-weight diagnostics;
+  ``log p(x) - log q(x)`` (exact, in standardized units), and one
+  :class:`WeightedSampleSet` holds the drawn delays and log-weights.
+  It answers every tail question from the same draw — the
+  self-normalized :func:`~repro.core.stats.weighted_quantile` for tail
+  quantiles, a weighted indicator mean for ``P(delay > t)`` — next to
+  its effective-sample-size (ESS) and max-weight diagnostics, which it
+  computes once;
+* a :class:`SampleSetStore` remembers the most recent set under its full
+  draw identity (card, architecture, spares, vdd, sample count, root
+  seed, proposal fingerprint, precision, shard size), so a quantile
+  followed by a failure probability under the same proposal draws once:
+  the second answer reads the first's weighted samples, which are
+  exactly the samples a redraw would have produced;
 * :meth:`TailSampler.find_shift` runs a coarse cross-entropy /
   moment-matching pilot loop before the production run: each round
   takes the weighted elite fraction of chip delays and moves the shift
@@ -57,7 +65,8 @@ from repro.obs.api import gauge as _obs_gauge
 from repro.runtime.context import profiled_stage
 
 __all__ = [
-    "ShiftProposal", "TailEstimate", "TailSampler",
+    "ShiftProposal", "TailEstimate", "TailSampler", "WeightedSampleSet",
+    "SampleSetStore",
     "effective_sample_size", "weight_max_ratio", "normalized_weights",
     "DEFAULT_DEFENSIVE_WEIGHT", "MAX_SHIFT",
 ]
@@ -323,6 +332,74 @@ class TailEstimate:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class WeightedSampleSet:
+    """One weighted draw: chip delays plus their log-likelihood ratios.
+
+    Both arrays are float64 read-only copies, so a set can be shared
+    between estimators without anyone disturbing it.  The Kish ESS and
+    the weight-max-ratio are computed once at construction; every tail
+    question is then one read of the same samples.
+    """
+
+    delays: np.ndarray
+    logw: np.ndarray
+    ess: float = field(init=False)
+    weight_max_ratio: float = field(init=False)
+    _weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        delays = np.array(self.delays, dtype=np.float64).ravel()
+        logw = np.array(self.logw, dtype=np.float64).ravel()
+        if delays.shape != logw.shape:
+            raise ConfigurationError(
+                f"{delays.size} delays but {logw.size} log-weights")
+        w = normalized_weights(logw)
+        for arr in (delays, logw, w):
+            arr.setflags(write=False)
+        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "logw", logw)
+        object.__setattr__(self, "_weights", w)
+        object.__setattr__(self, "ess", float(1.0 / np.square(w).sum()))
+        object.__setattr__(self, "weight_max_ratio", float(w.max()))
+
+    def quantile(self, q: float) -> float:
+        """Self-normalized weighted ``q`` delay quantile (seconds)."""
+        return weighted_quantile(self.delays, q,
+                                 np.exp(self.logw - self.logw.max()))
+
+    def failure_probability(self, t_limit: float) -> float:
+        """Self-normalized ``P(delay > t_limit)``."""
+        return float(self._weights[self.delays > float(t_limit)].sum())
+
+
+class SampleSetStore:
+    """Memo of the single most recently drawn :class:`WeightedSampleSet`.
+
+    Holds one ``(key, set)`` entry, replaced whole on every store, so a
+    reader on another thread sees either the old entry or the new one.
+    A store belongs to one owner (a :class:`~repro.core.analyzer.
+    VariationAnalyzer`); it is never process-global.
+    """
+
+    __slots__ = ("_entry",)
+
+    def __init__(self) -> None:
+        self._entry: tuple | None = None
+
+    def __len__(self) -> int:
+        return 0 if self._entry is None else 1
+
+    def get(self, key) -> WeightedSampleSet | None:
+        entry = self._entry
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        return None
+
+    def put(self, key, samples: WeightedSampleSet) -> None:
+        self._entry = (key, samples)
+
+
 class TailSampler:
     """Importance-sampling tail estimator over the per-gate MC kernels.
 
@@ -334,13 +411,16 @@ class TailSampler:
     the worker count), while the adaptive shift search runs small
     in-process pilots on streams derived from ``root_seed`` plus a fixed
     tag, so the chosen proposal — and therefore the whole estimate — is
-    deterministic end to end.
+    deterministic end to end.  With a :class:`SampleSetStore`, each
+    estimator reuses the store's set when its draw identity matches and
+    calls :meth:`sample` only on a miss.
     """
 
     def __init__(self, tech, *, width: int = 128, paths_per_lane: int = 100,
                  chain_length: int = 50, spares: int = 0,
                  batch_size: int = 64, sampler=None,
-                 precision: str = "float64") -> None:
+                 precision: str = "float64",
+                 store: SampleSetStore | None = None) -> None:
         if isinstance(tech, str):
             tech = get_technology(tech)
         if not isinstance(tech, TechnologyNode):
@@ -363,6 +443,7 @@ class TailSampler:
         self.batch_size = int(batch_size)
         self.precision = str(precision)
         self._sampler = sampler
+        self._store = store
         self._own_sampler = None
         self._pilot_kernel: MonteCarloKernel | None = None
 
@@ -386,6 +467,29 @@ class TailSampler:
             chain_length=self.chain_length, n_chips=int(n_samples),
             spares=self.spares, batch_size=self.batch_size,
             root_seed=root_seed, precision=self.precision)
+
+    def sample_set(self, vdd, n_samples: int, proposal: ShiftProposal,
+                   root_seed=0) -> WeightedSampleSet:
+        """The weighted sample set of one draw, drawn at most once per store.
+
+        The store key is the full draw identity, so a hit returns exactly
+        the set that :meth:`sample` would produce again.
+        """
+        key = (self.tech.name, self.width, self.paths_per_lane,
+               self.chain_length, self.spares, float(vdd), int(n_samples),
+               repr(root_seed), proposal.fingerprint(), self.precision,
+               self._production_sampler().shard_size)
+        store = self._store
+        samples = store.get(key) if store is not None else None
+        if samples is not None:
+            _obs_counter("tail.sample_set_hits").inc()
+            return samples
+        with profiled_stage("tail.estimate", int(n_samples)):
+            samples = WeightedSampleSet(
+                *self.sample(vdd, n_samples, proposal, root_seed))
+        if store is not None:
+            store.put(key, samples)
+        return samples
 
     def _pilot(self, vdd, n: int, proposal: ShiftProposal, seed) -> tuple:
         """One in-process pilot -> ``(delays, logw, d2d)``."""
@@ -486,19 +590,11 @@ class TailSampler:
         if not 0.0 < q < 1.0:
             raise ConfigurationError(
                 f"quantile must be in (0, 1), got {q}")
-        self._check_samples(n_samples)
-        rounds = 0
-        if proposal is None:
-            proposal, rounds = self.find_shift(
-                vdd, q, n_pilot=n_pilot, max_rounds=max_rounds,
-                elite_fraction=elite_fraction,
-                defensive_weight=defensive_weight, root_seed=root_seed)
-        with profiled_stage("tail.estimate", int(n_samples)):
-            delays, logw = self.sample(vdd, n_samples, proposal, root_seed)
-            value = weighted_quantile(np.asarray(delays, dtype=float), q,
-                                      np.exp(logw - logw.max()))
-        return self._finish(value, "quantile", logw, n_samples, rounds,
-                            proposal, q=float(q))
+        return self._estimate(
+            "quantile", vdd, float(q), n_samples=n_samples,
+            proposal=proposal, root_seed=root_seed, n_pilot=n_pilot,
+            max_rounds=max_rounds, elite_fraction=elite_fraction,
+            defensive_weight=defensive_weight)
 
     def failure_probability(self, vdd, t_limit: float | None = None, *,
                             f_clk: float | None = None,
@@ -525,40 +621,40 @@ class TailSampler:
         if not t_limit > 0.0:
             raise ConfigurationError(
                 f"t_limit must be positive seconds, got {t_limit}")
-        self._check_samples(n_samples)
-        rounds = 0
-        if proposal is None:
-            proposal, rounds = self.find_shift(
-                vdd, t_limit=t_limit, n_pilot=n_pilot,
-                max_rounds=max_rounds, elite_fraction=elite_fraction,
-                defensive_weight=defensive_weight, root_seed=root_seed)
-        with profiled_stage("tail.estimate", int(n_samples)):
-            delays, logw = self.sample(vdd, n_samples, proposal, root_seed)
-            w = normalized_weights(logw)
-            value = float(w[np.asarray(delays, dtype=float)
-                            > float(t_limit)].sum())
-        return self._finish(value, "probability", logw, n_samples, rounds,
-                            proposal, threshold=float(t_limit))
+        return self._estimate(
+            "probability", vdd, float(t_limit), n_samples=n_samples,
+            proposal=proposal, root_seed=root_seed, n_pilot=n_pilot,
+            max_rounds=max_rounds, elite_fraction=elite_fraction,
+            defensive_weight=defensive_weight)
 
     # -- internals -----------------------------------------------------------
 
-    @staticmethod
-    def _check_samples(n_samples: int) -> None:
+    def _estimate(self, kind: str, vdd, target: float, *, n_samples: int,
+                  proposal: ShiftProposal | None, root_seed,
+                  **search) -> TailEstimate:
+        """Search a proposal if none is given, then read one sample set."""
         if n_samples < 2:
             raise ConfigurationError(
                 f"n_samples must be >= 2, got {n_samples}")
-
-    def _finish(self, value: float, kind: str, logw, n_samples: int,
-                rounds: int, proposal: ShiftProposal, q=None,
-                threshold=None) -> TailEstimate:
-        ess = effective_sample_size(logw)
-        wmr = weight_max_ratio(logw)
+        quantile = kind == "quantile"
+        rounds = 0
+        if proposal is None:
+            proposal, rounds = self.find_shift(
+                vdd, target if quantile else None,
+                t_limit=None if quantile else target, root_seed=root_seed,
+                **search)
+        samples = self.sample_set(vdd, n_samples, proposal, root_seed)
+        value = (samples.quantile(target) if quantile
+                 else samples.failure_probability(target))
         _obs_counter("tail.estimates").inc()
-        _obs_gauge("tail.ess").set(ess)
-        _obs_gauge("tail.weight_max_ratio").set(wmr)
+        _obs_gauge("tail.ess").set(samples.ess)
+        _obs_gauge("tail.weight_max_ratio").set(samples.weight_max_ratio)
         if rounds:
             _obs_counter("tail.shift_search_rounds").inc(int(rounds))
-        return TailEstimate(value=float(value), kind=kind, ess=ess,
-                            weight_max_ratio=wmr, n_samples=int(n_samples),
+        return TailEstimate(value=float(value), kind=kind, ess=samples.ess,
+                            weight_max_ratio=samples.weight_max_ratio,
+                            n_samples=int(n_samples),
                             shift_search_rounds=int(rounds),
-                            proposal=proposal, q=q, threshold=threshold)
+                            proposal=proposal,
+                            q=target if quantile else None,
+                            threshold=None if quantile else target)

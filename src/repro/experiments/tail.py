@@ -91,7 +91,8 @@ def run(fast: bool = False) -> ExperimentResult:
         analytic = analyzer.chip_quantile(VDD, q=q)
         rel_err = est.value / analytic - 1.0
         # Self-consistency: the IS failure probability at the analytic
-        # threshold should land near 1 - q (same proposal, no re-search).
+        # threshold should land near 1 - q (same proposal, no re-search;
+        # the analyzer answers it from the quantile's weighted draw).
         pfail = analyzer.chip_failure_probability(
             VDD, t_limit=analytic, n_samples=n_samples,
             proposal=est.proposal)

@@ -292,7 +292,8 @@ def parse_tail_query(body: dict, *, available_nodes) -> tuple:
     """Validate one tail-estimate body into ``(TailKey, points)``.
 
     Points are ``(vdd, spares, q)`` exactly like :func:`parse_query`
-    (``q`` defaults to 0.9999 — this is the deep-tail endpoint); the run
+    (``q`` defaults to 0.9999 — this is the deep-tail endpoint), except
+    that spares must be whole (the sampler draws integral spares); the run
     parameters — ``n_samples``, ``root_seed``, optional explicit
     ``shift`` (sigma units; omitted = adaptive search) and
     ``defensive_weight`` — become part of the :class:`TailKey`, so only
@@ -300,6 +301,10 @@ def parse_tail_query(body: dict, *, available_nodes) -> tuple:
     """
     engine = _parse_engine(body, available_nodes)
     points = _parse_points(body, q_default=0.9999)
+    for _, spares, _ in points:
+        if not spares.is_integer():
+            raise BadRequestError(
+                f"tail spares must be a whole number, got {spares}")
     n_samples = _scalar_field(body, "n_samples", 4096, integer=True)
     if not 2 <= n_samples <= MAX_TAIL_SAMPLES:
         raise BadRequestError(

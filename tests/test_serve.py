@@ -43,7 +43,7 @@ from repro.serve import (
     ShedError,
     SignoffServer,
 )
-from repro.serve.protocol import parse_query
+from repro.serve.protocol import parse_query, parse_tail_query
 
 #: Tiny architecture so every solve stays fast.
 ARCH = dict(width=4, paths_per_lane=5, chain_length=10)
@@ -142,6 +142,15 @@ def test_parse_query_broadcasts_and_rounds():
 def test_parse_query_rejects(body):
     with pytest.raises(BadRequestError):
         parse_query(body, available_nodes=NODES)
+
+
+def test_parse_tail_query_rejects_fractional_spares():
+    body = {"node": "22nm", "vdd": 0.55, **ARCH}
+    _, pts = parse_tail_query(dict(body, spares=[0, 2.0]),
+                              available_nodes=NODES)
+    assert [p[1] for p in pts] == [0.0, 2.0]
+    with pytest.raises(BadRequestError):
+        parse_tail_query(dict(body, spares=1.5), available_nodes=NODES)
 
 
 def test_serve_config_validates():

@@ -1,5 +1,10 @@
 """Quantile and bootstrap confidence intervals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -145,3 +150,20 @@ def test_weighted_quantile_validation(rng):
         weighted_quantile([1.0, 2.0], 0.5, [0.0, 0.0])
     with pytest.raises(ConfigurationError):
         weighted_quantile([1.0, np.nan], 0.5, [1.0, 1.0])
+
+
+def test_regeneration_and_serve_imports_skip_scipy_stats():
+    """Cold start: the catalogue and the server never import scipy.stats."""
+    code = (
+        "import sys\n"
+        "from repro.experiments.registry import list_experiments\n"
+        "list_experiments()\n"
+        "assert 'scipy.stats' not in sys.modules, 'registry'\n"
+        "import repro.serve\n"
+        "assert 'scipy.stats' not in sys.modules, 'serve'\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from repro.core.montecarlo import MonteCarloEngine
+from repro.core.stats import weighted_quantile
 from repro.core.tailsampling import (
     MAX_SHIFT,
+    SampleSetStore,
     ShiftProposal,
     TailSampler,
+    WeightedSampleSet,
     effective_sample_size,
     normalized_weights,
     weight_max_ratio,
@@ -333,3 +336,156 @@ def test_analyzer_failure_probability_f_clk(tail_analyzer):
         tail_analyzer.chip_failure_probability(VDD)
     with pytest.raises(ConfigurationError):
         tail_analyzer.chip_failure_probability(VDD, 1e-9, f_clk=1e9)
+
+
+# -- weighted sample sets (draw once, answer every tail question) -------------
+
+
+def test_weighted_sample_set_matches_direct_arithmetic():
+    rng = np.random.default_rng(5)
+    delays = rng.lognormal(0.0, 0.2, 257) * 1e-9
+    logw = rng.normal(0.0, 1.5, 257)
+    s = WeightedSampleSet(delays, logw)
+    t = float(np.quantile(delays, 0.9))
+    w = normalized_weights(logw)
+    assert s.quantile(0.999).hex() == weighted_quantile(
+        delays, 0.999, np.exp(logw - logw.max())).hex()
+    assert s.failure_probability(t).hex() == float(w[delays > t].sum()).hex()
+    assert s.ess.hex() == effective_sample_size(logw).hex()
+    assert s.weight_max_ratio.hex() == weight_max_ratio(logw).hex()
+
+
+def test_weighted_sample_set_is_read_only_and_validated():
+    delays = np.linspace(1e-9, 2e-9, 8)
+    s = WeightedSampleSet(delays, np.zeros(8))
+    delays[0] = 5e-9                   # the set holds its own copy
+    assert s.delays[0] == 1e-9
+    for arr in (s.delays, s.logw):
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    with pytest.raises(ConfigurationError):
+        WeightedSampleSet(np.ones(4), np.zeros(3))
+    with pytest.raises(ConfigurationError):
+        WeightedSampleSet(np.ones(2), np.array([0.0, np.inf]))
+
+
+@pytest.fixture()
+def sample_spy(monkeypatch):
+    """Counts real draws: every call of :meth:`TailSampler.sample`."""
+    calls = []
+    original = TailSampler.sample
+
+    def spy(self, vdd, n_samples, proposal, root_seed=0):
+        calls.append((vdd, n_samples, proposal, root_seed))
+        return original(self, vdd, n_samples, proposal, root_seed)
+
+    monkeypatch.setattr(TailSampler, "sample", spy)
+    return calls
+
+
+def _cold_analyzer():
+    from repro.core.analyzer import VariationAnalyzer
+    from repro.runtime.cache import QuantileCache
+    return VariationAnalyzer("22nm", quantile_cache=QuantileCache(
+        enabled=False), **SMALL_ARCH)
+
+
+def _same_estimate(a, b) -> bool:
+    return (a.value.hex() == b.value.hex() and a.ess.hex() == b.ess.hex()
+            and a.weight_max_ratio.hex() == b.weight_max_ratio.hex())
+
+
+TAIL_KW = dict(n_samples=256, root_seed=4, n_pilot=64, max_rounds=2)
+
+
+def test_failure_probability_reuses_quantile_draw(sample_spy):
+    analyzer = _cold_analyzer()
+    est = analyzer.chip_tail_quantile(VDD, 0.999, **TAIL_KW)
+    assert len(sample_spy) == 1
+    pfail = analyzer.chip_failure_probability(
+        VDD, t_limit=est.value, n_samples=256, root_seed=4,
+        proposal=est.proposal)
+    assert len(sample_spy) == 1        # answered from the quantile's set
+    cold = _cold_analyzer().chip_failure_probability(
+        VDD, t_limit=est.value, n_samples=256, root_seed=4,
+        proposal=est.proposal)
+    assert len(sample_spy) == 2
+    assert _same_estimate(pfail, cold)
+    # The reused set gives the quantile's own diagnostics.
+    assert pfail.ess == est.ess
+    assert pfail.weight_max_ratio == est.weight_max_ratio
+
+
+def test_sample_set_store_keyed_by_full_draw_identity(sample_spy):
+    store = SampleSetStore()
+    proposal = ShiftProposal.defensive(1.5)
+    base = dict(n_samples=128, root_seed=1, proposal=proposal)
+
+    def sampler(**kw):
+        kw = dict(SMALL_ARCH, **kw)
+        return TailSampler("22nm", store=store, **kw)
+
+    t = 1.5e-9
+    sampler().failure_probability(VDD, t, **base)
+    sampler().failure_probability(VDD, t * 1.1, **base)
+    sampler(batch_size=16).tail_quantile(VDD, 0.99, **base)
+    assert len(sample_spy) == 1        # same draw, three answers
+    changed = [
+        (dict(), dict(base, n_samples=130)),
+        (dict(), dict(base, root_seed=2)),
+        (dict(), dict(base, proposal=ShiftProposal.defensive(1.6))),
+        (dict(spares=1), base),
+        (dict(precision="float32"), base),
+        (dict(sampler=ParallelSampler(jobs=1, shard_size=64)), base),
+    ]
+    for ctor, kw in changed:
+        sampler().failure_probability(VDD, t, **base)   # store holds base
+        before = len(sample_spy)
+        sampler(**ctor).failure_probability(VDD, t, **kw)
+        assert len(sample_spy) == before + 1, (ctor, kw)
+    sampler().failure_probability(VDD, t, **base)
+    before = len(sample_spy)
+    sampler().failure_probability(VDD * 1.01, t, **base)
+    assert len(sample_spy) == before + 1
+    assert len(store) == 1             # only the most recent set is kept
+
+
+def test_analyzer_draw_once_under_jobs2_runtime(sample_spy):
+    from repro.runtime import build_runtime
+    from repro.runtime.context import activate_runtime
+    ref_q = _cold_analyzer().chip_tail_quantile(VDD, 0.999, **TAIL_KW)
+    ref_p = _cold_analyzer().chip_failure_probability(
+        VDD, ref_q.value, n_samples=256, root_seed=4,
+        proposal=ref_q.proposal)
+    draws = len(sample_spy)
+    analyzer = _cold_analyzer()
+    runtime = build_runtime(jobs=2)
+    try:
+        with activate_runtime(runtime):
+            est = analyzer.chip_tail_quantile(VDD, 0.999, **TAIL_KW)
+            pfail = analyzer.chip_failure_probability(
+                VDD, est.value, n_samples=256, root_seed=4,
+                proposal=est.proposal)
+    finally:
+        runtime.close()
+    assert len(sample_spy) == draws + 1
+    assert _same_estimate(est, ref_q) and _same_estimate(pfail, ref_p)
+
+
+@pytest.mark.parametrize("point", [
+    dict(vdd=0.0), dict(vdd=-0.5), dict(vdd=float("nan")),
+    dict(vdd=float("inf")), dict(spares=1.5), dict(spares=float("nan")),
+    dict(spares=-1),
+])
+def test_analyzer_tail_rejects_bad_points_before_sampling(point,
+                                                          sample_spy):
+    analyzer = _cold_analyzer()
+    kw = dict(vdd=VDD, spares=0, **TAIL_KW)
+    kw.update(point)
+    vdd = kw.pop("vdd")
+    with pytest.raises(ConfigurationError):
+        analyzer.chip_tail_quantile(vdd, 0.999, **kw)
+    with pytest.raises(ConfigurationError):
+        analyzer.chip_failure_probability(vdd, 1e-9, **kw)
+    assert sample_spy == [] and analyzer._tail_cache == {}
