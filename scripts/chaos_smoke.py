@@ -4,9 +4,9 @@ Runs the paper's fig4 sweep twice — a fault-free serial baseline, then a
 two-worker run with an injected worker crash — and requires the recovered
 run's full result arrays to be *exactly* equal to the baseline (the
 runtime's bit-reproducibility contract extends through the recovery
-ladder).  Also round-trips the persistent quantile cache through a
-bit-flip: the corrupt entry must be quarantined, counted and recomputed,
-never crash the run.
+ladder).  Also round-trips the persistent quantile cache's journal through a
+bit-flip and a torn append: the corrupt line must be quarantined,
+counted and recomputed, never crash the run.
 
 Writes the chaos run's manifest (``--manifest FILE``, default
 ``chaos-manifest.json``) so CI can validate and archive it::
@@ -105,10 +105,14 @@ def check_cache_roundtrip() -> list:
         cache = QuantileCache(path=path, enabled=True)
         cache.put_many([("point:a", 1.5e-9), ("point:b", 2.5e-9)])
 
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        key = sorted(doc["entries"])[0]
-        doc["entries"][key][0] = "0x1.badp-30"          # bit-flip the value
-        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        # The journal: a header line, then one [key, hex, crc32] per line.
+        header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+        records = sorted(json.loads(line) for line in lines)
+        records[0][1] = "0x1.badp-30"                   # bit-flip the value
+        Path(path).write_text("".join(
+            line + "\n" for line in
+            [header] + [json.dumps(rec) for rec in records]),
+            encoding="utf-8")
 
         reread = QuantileCache(path=path, enabled=True)
         values = reread.get_many(["point:a", "point:b"])
@@ -129,7 +133,24 @@ def check_cache_roundtrip() -> list:
         if final.quarantined:
             errors.append("rewritten cache still contains corrupt entries")
 
-        Path(path).write_text('{"version": 2, "entr', encoding="utf-8")
+        # A writer killed mid-append leaves a torn tail line.
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('["point:c", "0x1.8p-3')
+        torn = QuantileCache(path=path, enabled=True)
+        if torn.get_many(["point:a", "point:b", "point:c"]) != [
+                1.5e-9, 2.5e-9, None]:
+            errors.append("torn tail line cost an intact entry or was "
+                          "served")
+        if torn.quarantined != 1:
+            errors.append(f"expected the torn tail line quarantined, "
+                          f"counted {torn.quarantined}")
+        torn.put_many([("point:c", 3.5e-9)])
+        healed = QuantileCache(path=path, enabled=True)
+        if healed.get_many(["point:a", "point:b", "point:c"]) != [
+                1.5e-9, 2.5e-9, 3.5e-9] or healed.quarantined:
+            errors.append("cache did not recover after a torn append")
+
+        Path(path).write_text('{"version": 3', encoding="utf-8")
         truncated = QuantileCache(path=path, enabled=True)
         if truncated.get_many(["point:a"]) != [None]:
             errors.append("truncated cache file did not read as empty")
@@ -137,6 +158,7 @@ def check_cache_roundtrip() -> list:
             errors.append("truncated cache file was not moved aside")
     if not errors:
         print("ok: corrupt cache entries quarantined and recomputed; "
+              "torn tail line quarantined and healed; "
               "truncated file quarantined whole")
     return errors
 

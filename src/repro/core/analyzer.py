@@ -131,31 +131,38 @@ class VariationAnalyzer:
     # -- architecture level -----------------------------------------------------
 
     @staticmethod
-    def _validate_point(q: float, spares) -> None:
+    def _validate_point(vdd, q, spares) -> None:
         """Reject malformed query points before any cache is consulted.
 
-        The engine would catch these eventually, but only after the memo
-        and disk layers had been probed — and a bad point must never risk
-        landing in (or colliding with) a cache key.
+        Scalars or broadcast arrays.  The engine would catch most of these
+        eventually, but only after the memo and disk layers had been
+        probed — and a bad point must never risk landing in (or colliding
+        with) a cache key.  A non-finite or non-positive ``vdd`` would
+        otherwise run the whole solver rescue ladder before failing.
         """
-        if not 0.0 < float(q) < 1.0:
+        if not np.all(np.isfinite(vdd) & (np.asarray(vdd) > 0.0)):
+            raise ConfigurationError(
+                f"vdd must be finite and > 0 volts, got {vdd}")
+        if not np.all((np.asarray(q) > 0.0) & (np.asarray(q) < 1.0)):
             raise ConfigurationError(
                 f"quantile must be in (0, 1), got {q}")
-        s = float(spares)
-        if not np.isfinite(s) or s < 0.0:
+        if not np.all(np.isfinite(spares) & (np.asarray(spares) >= 0.0)):
             raise ConfigurationError(
                 f"spares must be finite and >= 0, got {spares}")
 
-    def _point_key(self, vdd, spares, q):
-        """In-process memo key ``(vdd, spares, q)`` for one query point.
+    def _point_key(self, vdd, spares, q, invariant: bool = False):
+        """In-process memo key ``(vdd, spares, q, solver)`` for one point.
 
         Spares are keyed on the *rounded float* (not ``int``): the engine
         supports fractional sparing, and truncation would silently collide
-        ``spares=1.5`` with ``spares=1`` in both cache layers.
+        ``spares=1.5`` with ``spares=1`` in both cache layers.  ``solver``
+        keeps the batch-composition-invariant solver's answers apart from
+        the scalar and clustered ones, which can differ in the last bits:
+        an invariant query must never be served another solver's value.
         """
         q_eff = self.signoff_quantile if q is None else float(q)
         return (round(float(vdd), 9), round(float(spares), 9),
-                round(q_eff, 12))
+                round(q_eff, 12), "invariant" if invariant else "default")
 
     def _disk_key(self, key) -> str:
         """The persistent-cache key for an in-process ``_point_key``."""
@@ -167,7 +174,7 @@ class VariationAnalyzer:
             quad_within=engine.quad_within,
             quad_corr_vth=engine.quad_corr_vth,
             quad_corr_mult=engine.quad_corr_mult,
-            vdd=key[0], q=key[2], spares=key[1])
+            vdd=key[0], q=key[2], spares=key[1], solver=key[3])
 
     def chip_quantile(self, vdd, spares: float = 0, q: float | None = None) -> float:
         """Deterministic chip-delay quantile in seconds.
@@ -179,7 +186,7 @@ class VariationAnalyzer:
         never re-pay a deterministic solve.
         """
         q_eff = self.signoff_quantile if q is None else float(q)
-        self._validate_point(q_eff, spares)
+        self._validate_point(vdd, q_eff, spares)
         key = self._point_key(vdd, spares, q)
         cached = self._signoff_cache.get(key)
         if cached is not None:
@@ -262,11 +269,8 @@ class VariationAnalyzer:
             np.asarray(vdd, dtype=float), np.asarray(spares, dtype=float),
             np.asarray(q_eff, dtype=float))
         shape = vdd_b.shape
-        if not np.all((q_b > 0.0) & (q_b < 1.0)):
-            raise ConfigurationError("quantile must be in (0, 1)")
-        if not np.all(np.isfinite(sp_b) & (sp_b >= 0.0)):
-            raise ConfigurationError("spares must be finite and >= 0")
-        keys = [self._point_key(v, s, qq) for v, s, qq in
+        self._validate_point(vdd_b, q_b, sp_b)
+        keys = [self._point_key(v, s, qq, invariant) for v, s, qq in
                 zip(vdd_b.ravel(), sp_b.ravel(), q_b.ravel())]
         out = np.empty(len(keys))
         missing: dict = {}          # unique missed key -> output positions

@@ -44,22 +44,19 @@ def cache_file_state(path: str | None = None) -> dict:
     """Entry count and byte size of the persistent quantile-cache file.
 
     Defaults to the active cache location
-    (:func:`repro.runtime.cache.default_cache_dir`); a missing or corrupt
+    (:func:`repro.runtime.cache.default_cache_dir`).  Entries are counted
+    by the cache's own read-only reader, so a missing, stale or corrupt
     file reads as empty — never fatal, matching the cache's own policy.
     """
-    from repro.runtime.cache import default_cache_dir
+    from repro.runtime.cache import default_cache_dir, read_cache_file
     if path is None:
         path = os.path.join(default_cache_dir(), "quantiles.json")
     state = {"path": str(path), "entries": 0, "bytes": 0}
     try:
         state["bytes"] = os.path.getsize(path)
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        entries = payload.get("entries", {})
-        if isinstance(entries, dict):
-            state["entries"] = len(entries)
-    except (OSError, ValueError):
-        pass
+    except OSError:
+        return state
+    state["entries"] = len(read_cache_file(path))
     return state
 
 

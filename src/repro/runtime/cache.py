@@ -17,21 +17,34 @@ number is never paid for twice, across processes and across runs:
 * **Key** — technology node name + a fingerprint of the full calibrated
   card (so re-calibration invalidates old entries), the architecture
   (width / paths-per-lane / chain-length), the three quadrature orders,
-  and the query point (vdd, q, spares).
+  the query point (vdd, q, spares) and the solver family that produced
+  the value.
 * **Exactness** — values are stored as ``float.hex()`` strings, so a cache
   hit returns the *exact bytes* of the original solve, not a decimal
   round-trip approximation.
 
-**Crash safety** (the resilience contract): every entry is stored as
-``[hex_value, crc32_checksum]`` under a format-version stamp; writes go
-through a temp file + ``fsync`` + ``os.replace`` so a killed run can never
-leave a truncated file; and concurrent multi-process writers are
-serialised with an advisory ``flock`` on a ``.lock`` sidecar.  On read, a
-bit-flipped entry fails its checksum and is *quarantined* — dropped,
-counted (``resilience.cache.quarantined``), recorded in the fault ledger,
-and transparently recomputed by the caller; an unparseable file is moved
-aside to ``<path>.quarantined`` (``resilience.cache.file_quarantined``)
-and the run continues with an empty cache.  Corruption is never fatal.
+**On-disk format** (``_FILE_VERSION`` 3) — an append-only journal: a
+JSON header line ``{"version": 3}``, then one ``[key, hex_value, crc32]``
+JSON record per line.  The CRC32 is keyed (it covers ``key=hex_value``),
+so a bit flip or two swapped records fail it; the last record of a key
+wins.  A put appends only its own records, so it costs O(records
+written), not O(file).
+
+**Crash safety** (the resilience contract): append + ``fsync``; a torn
+tail line is quarantined; full rewrites are atomic.  Each put writes its
+records in one ``write`` on an ``O_APPEND`` descriptor, then calls
+``fsync``.  Concurrent multi-process writers are serialised with an
+advisory ``flock`` on a ``.lock`` sidecar, and each first merges the
+records the others appended since its last read.  A line that fails to parse or to
+verify (a record torn by a killed writer, a bit flip) is *quarantined* —
+dropped, counted (``resilience.cache.quarantined``), recorded in the
+fault ledger, and transparently recomputed by the caller.  A missing,
+stale-version or damaged file (quarantined lines or duplicate keys at
+load) is rewritten whole by the next put, through a temp file +
+``fsync`` + ``os.replace``, so a killed rewrite never leaves a truncated
+file.  A file whose header does not parse is moved aside to
+``<path>.quarantined`` (``resilience.cache.file_quarantined``) and the run
+continues with an empty cache.  Corruption is never fatal.
 """
 
 from __future__ import annotations
@@ -54,7 +67,7 @@ try:
 except ImportError:                      # non-POSIX: locks degrade to no-ops
     fcntl = None
 
-__all__ = ["QuantileCache", "technology_fingerprint",
+__all__ = ["QuantileCache", "technology_fingerprint", "read_cache_file",
            "ENV_CACHE_DIR", "ENV_CACHE_DISABLE"]
 
 #: Environment variable overriding the cache directory.
@@ -63,9 +76,12 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Environment variable disabling the persistent cache ("1"/"true"/...).
 ENV_CACHE_DISABLE = "REPRO_CACHE_DISABLE"
 
-#: Format version; v2 added per-entry checksums.  Files with any other
-#: stamp read as empty (recomputed, then overwritten in v2 form).
-_FILE_VERSION = 2
+#: Format version; v3 is the append-only journal (v2 was one JSON document
+#: with per-entry checksums).  Files with any other stamp read as empty
+#: (recomputed, then rewritten in v3 form).
+_FILE_VERSION = 3
+
+_HEADER = (json.dumps({"version": _FILE_VERSION}) + "\n").encode()
 
 _fingerprints: dict = {}
 
@@ -105,13 +121,112 @@ def _entry_checksum(key: str, hex_value: str) -> str:
                   "08x")
 
 
+def _record_line(key: str, hex_value: str) -> bytes:
+    """One journal line: ``[key, hex_value, crc32]`` and a newline."""
+    return (json.dumps([key, hex_value, _entry_checksum(key, hex_value)])
+            + "\n").encode()
+
+
+def _loads_or_none(line: bytes):
+    try:
+        return json.loads(line)
+    except ValueError:
+        return None
+
+
+def _decode_lines(body: bytes) -> list:
+    """The JSON value of every non-blank line, ``None`` where one fails.
+
+    One ``json.loads`` over the lines joined into an array; only a body
+    with a torn or garbled line falls back to parsing line by line.
+    """
+    body = body.strip()
+    if not body:
+        return []
+    try:
+        values = json.loads(b"[" + body.replace(b"\n", b",") + b"]")
+        if len(values) == body.count(b"\n") + 1:
+            return values
+    except ValueError:
+        pass
+    return [_loads_or_none(line) for line in body.split(b"\n")
+            if line.strip()]
+
+
+def _parse_file(data: bytes) -> tuple:
+    """``(status, records)`` of a whole cache file.
+
+    ``status`` is ``"ok"`` for a v3 journal (``records`` are its decoded
+    lines), ``"stale"`` for a JSON document or header of another version,
+    and ``"unparseable"`` otherwise.
+    """
+    head, _, body = data.partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        # A whole-file JSON document (the v2 format) is stale, not damaged.
+        try:
+            header = json.loads(data)
+        except ValueError:
+            return "unparseable", []
+        return ("stale" if isinstance(header, dict) else "unparseable"), []
+    if not isinstance(header, dict):
+        return "unparseable", []
+    if header.get("version") != _FILE_VERSION:
+        return "stale", []
+    return "ok", _decode_lines(body)
+
+
+def _verify(records) -> tuple:
+    """``(entries, bad, duplicates)`` from decoded journal records.
+
+    ``entries`` maps key to hex value for every record whose keyed
+    checksum verifies, the last record of a key winning; ``bad`` counts
+    the records that do not verify.
+    """
+    entries: dict = {}
+    bad = duplicates = 0
+    for rec in records:
+        try:
+            key, hex_value, crc = rec
+            ok = (type(rec) is list and isinstance(key, str)
+                  and isinstance(hex_value, str)
+                  and _entry_checksum(key, hex_value) == crc)
+            if ok:
+                float.fromhex(hex_value)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            bad += 1
+        else:
+            duplicates += key in entries
+            entries[key] = hex_value
+    return entries, bad, duplicates
+
+
+def read_cache_file(path: str) -> dict:
+    """The verified ``key -> hex value`` entries of a cache file.
+
+    Read-only: a missing, stale or unparseable file reads as empty and a
+    damaged record is skipped, but nothing is moved aside, counted or
+    recorded (a :class:`QuantileCache` does that when it loads).
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return {}
+    status, records = _parse_file(data)
+    return _verify(records)[0] if status == "ok" else {}
+
+
 @contextmanager
 def _advisory_lock(path: str):
     """Exclusive advisory flock on ``path + '.lock'`` (no-op off POSIX).
 
-    Serialises the read-merge-write cycle of concurrent multi-process
-    runs; lock failures degrade to the old merge-on-write behaviour
-    rather than blocking the run.
+    Serialises every read and write of the journal across concurrent
+    multi-process runs, so no reader sees half an append; lock failures
+    degrade to unlocked access rather than blocking the run.
     """
     if fcntl is None:
         yield
@@ -153,21 +268,35 @@ class QuantileCache:
         self.hits = 0
         self.misses = 0
         self.quarantined = 0
-        self._entries: dict | None = None   # lazy-loaded
+        self._entries: dict | None = None   # key -> hex value; lazy-loaded
+        # The file merged into ``_entries``: its (st_dev, st_ino), how many
+        # of its bytes were read, and whether they end on a line boundary.
+        self._ident: tuple | None = None
+        self._offset = 0
+        self._clean_tail = True
+        # Missing, stale or damaged on disk: the next put rewrites it whole.
+        self._rewrite_due = True
 
     # -- keys ---------------------------------------------------------------
 
     @staticmethod
     def make_key(tech, *, width: int, paths_per_lane: int, chain_length: int,
                  quad_within: int, quad_corr_vth: int, quad_corr_mult: int,
-                 vdd: float, q: float, spares: float) -> str:
-        """The canonical cache key for one deterministic quantile."""
+                 vdd: float, q: float, spares: float,
+                 solver: str = "default") -> str:
+        """The canonical cache key for one deterministic quantile.
+
+        ``solver`` names the family of solvers whose answers may serve
+        the entry: answers that can differ in their last bits never share
+        a key.
+        """
         return ":".join((
             tech.name, technology_fingerprint(tech),
             f"w{int(width)}", f"p{int(paths_per_lane)}",
             f"c{int(chain_length)}",
             f"gh{int(quad_within)}-{int(quad_corr_vth)}-{int(quad_corr_mult)}",
             f"v{float(vdd)!r}", f"q{float(q)!r}", f"s{float(spares)!r}",
+            f"m{solver}",
         ))
 
     # -- persistence ----------------------------------------------------------
@@ -185,88 +314,127 @@ class QuantileCache:
                                 moved_to=target)
 
     @staticmethod
-    def _valid_entry(key, rec) -> bool:
-        """True when ``rec`` is a checksummed entry that verifies for ``key``."""
-        if not (isinstance(rec, (list, tuple)) and len(rec) == 2
-                and isinstance(rec[0], str) and isinstance(rec[1], str)):
-            return False
-        try:
-            float.fromhex(rec[0])
-        except (TypeError, ValueError):
-            return False
-        return _entry_checksum(key, rec[0]) == rec[1]
-
-    def _read_file(self, record: bool = True) -> dict:
-        """Validated entries from disk; corruption quarantines, never raises.
-
-        ``record=False`` suppresses quarantine counting for the re-read
-        inside :meth:`put_many` (the damage was already reported when the
-        entries were first loaded).
-        """
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise ValueError("cache payload is not an object")
-        except OSError:
-            return {}
-        except ValueError:
-            if record:
-                self._quarantine_file()
-            return {}
-        if payload.get("version") != _FILE_VERSION:
-            return {}
-        raw = payload.get("entries", {})
-        if not isinstance(raw, dict):
-            if record:
-                self._quarantine_file()
-            return {}
-        self._inject_corruption(raw)
-        entries = {}
-        bad = 0
-        for key, rec in raw.items():
-            if self._valid_entry(key, rec):
-                entries[key] = [rec[0], rec[1]]
-            else:
-                bad += 1
-        if bad and record:
-            self.quarantined += bad
-            _obs_counter("resilience.cache.quarantined").inc(bad)
-            current_ledger().record("cache_entry_quarantined",
-                                    path=self.path, entries=bad)
-        return entries
-
-    @staticmethod
-    def _inject_corruption(raw: dict) -> None:
-        """Fault lab: corrupt the target-th entry (sorted) before validation."""
+    def _inject_corruption(records: list) -> None:
+        """Fault lab: corrupt the target-th key (sorted) before validation."""
         plan = active_plan()
-        if plan is None or not raw:
+        if plan is None or not records:
             return
         targets = plan.pending("cache_corrupt")
         if not targets:
             return
-        keys = sorted(raw)
+        keys = sorted({rec[0] for rec in records
+                       if type(rec) is list and rec
+                       and isinstance(rec[0], str)})
         for target in targets:
-            if plan.consume("cache_corrupt", target):
-                raw[keys[target % len(keys)]] = ["<corrupted-by-faultlab>",
-                                                 "00000000"]
+            if keys and plan.consume("cache_corrupt", target):
+                poisoned = keys[target % len(keys)]
+                for i, rec in enumerate(records):
+                    if type(rec) is list and rec and rec[0] == poisoned:
+                        records[i] = [poisoned, "<corrupted-by-faultlab>",
+                                      "00000000"]
+
+    def _sync(self) -> None:
+        """Bring memory up to date with the file; the caller holds the lock.
+
+        The file this instance last read is parsed from its previous
+        offset on, i.e. only what other writers appended since.  Any
+        other file (a first load, or one another writer rewrote) is read
+        whole.  Either way the disk wins over memory for every key it
+        holds, so a concurrent writer's newer entry is never shadowed by
+        a value loaded before it ran.
+        """
+        try:
+            fd = os.open(self.path, os.O_RDONLY)
+            try:
+                st = os.fstat(fd)
+                ident = (st.st_dev, st.st_ino)
+                appended = (self._entries is not None
+                            and ident == self._ident
+                            and st.st_size >= self._offset)
+                start = self._offset if appended else 0
+                data = (os.pread(fd, st.st_size - start, start)
+                        if st.st_size > start else b"")
+            finally:
+                os.close(fd)
+        except OSError:
+            if self._entries is None:
+                self._entries = {}
+            self._ident, self._offset, self._clean_tail = None, 0, True
+            self._rewrite_due = True
+            return
+        if appended:
+            if not data:
+                return
+            entries, bad, _ = _verify(_decode_lines(data))
+        else:
+            status, records = _parse_file(data)
+            if status == "unparseable":
+                self._quarantine_file()
+                ident, data = None, b""
+            self._inject_corruption(records)
+            entries, bad, duplicates = _verify(records)
+            self._rewrite_due = status != "ok" or bool(bad or duplicates)
+            self._ident, self._offset = ident, 0
+        if bad:
+            self.quarantined += bad
+            _obs_counter("resilience.cache.quarantined").inc(bad)
+            current_ledger().record("cache_entry_quarantined",
+                                    path=self.path, entries=bad)
+        if self._entries is None:
+            self._entries = entries
+        else:
+            self._entries.update(entries)
+        self._offset += len(data)
+        self._clean_tail = not data or data.endswith(b"\n")
 
     def _load(self) -> dict:
         if self._entries is None:
-            self._entries = self._read_file() if self.enabled else {}
+            if self.enabled:
+                with _advisory_lock(self.path):
+                    self._sync()
+            else:
+                self._entries = {}
         return self._entries
 
-    def _write(self) -> None:
+    def _append(self, lines: list) -> None:
+        """Append records to the synced file in one write, then ``fsync``.
+
+        A torn tail line left by a killed writer is closed first, so the
+        records start on a line of their own.
+        """
+        data = b"".join(lines)
+        if not self._clean_tail:
+            data = b"\n" + data
+        try:
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view):]
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+        except OSError:
+            # Whatever landed is re-read by the next put, which rewrites.
+            self._rewrite_due = True
+            return
+        self._offset += len(data)
+        self._clean_tail = True
+
+    def _rewrite(self) -> None:
+        """Replace the file with the in-memory entries, atomically."""
+        data = _HEADER + b"".join(
+            _record_line(k, v) for k, v in self._entries.items())
         directory = os.path.dirname(self.path) or "."
         tmp = None
         try:
             os.makedirs(directory, exist_ok=True)
             fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump({"version": _FILE_VERSION,
-                           "entries": self._entries}, fh, indent=0)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data)
                 fh.flush()
                 os.fsync(fh.fileno())
+                st = os.fstat(fh.fileno())
             os.replace(tmp, self.path)
         except OSError:
             # A read-only cache dir degrades to in-memory behaviour.
@@ -275,6 +443,11 @@ class QuantileCache:
                     os.remove(tmp)
                 except OSError:
                     pass
+            return
+        self._ident = (st.st_dev, st.st_ino)
+        self._offset = len(data)
+        self._clean_tail = True
+        self._rewrite_due = False
 
     # -- access ---------------------------------------------------------------
 
@@ -301,57 +474,53 @@ class QuantileCache:
         hits = 0
         for key in keys:
             stored = entries.get(key)
-            value = None
-            if stored is not None:
-                try:
-                    value = float.fromhex(stored[0])
-                except (TypeError, ValueError, IndexError):
-                    value = None
-            if value is None:
+            if stored is None:
                 self.misses += 1
+                out.append(None)
             else:
                 self.hits += 1
                 hits += 1
-            out.append(value)
+                out.append(float.fromhex(stored))
         _obs_counter("quantile_cache.hits").inc(hits)
         _obs_counter("quantile_cache.misses").inc(len(keys) - hits)
         return out
 
     def put(self, key: str, value: float) -> None:
-        """Memoise ``value`` under ``key`` (write-through, merge-on-write)."""
+        """Memoise ``value`` under ``key`` (write-through)."""
         self.put_many(((key, value),))
 
     def put_many(self, items) -> None:
-        """Memoise many ``(key, value)`` pairs in one merged atomic write.
+        """Memoise many ``(key, value)`` pairs with one append.
 
-        The read-merge-write cycle runs under an advisory file lock, so
-        concurrent multi-process runs serialise their merges and can only
-        ever lose a duplicate solve, never an entry.
+        Under the advisory file lock, first merge what other writers
+        appended since this instance last read (their entries win over
+        this instance's older copies), then append the new records, which
+        win over both.  Concurrent multi-process runs can therefore only
+        ever duplicate a solve, never lose an entry.  A missing, stale or
+        damaged file is rewritten whole instead of appended to.
         """
         items = list(items)
         if not self.enabled or not items:
             return
         with _advisory_lock(self.path):
-            # Merge with whatever landed on disk since we loaded (already
-            # reported corruption is not re-counted).  Precedence matters
-            # under concurrency: the fresh on-disk read wins over this
-            # instance's stale in-memory copy for every key we are not
-            # writing ourselves — a concurrent writer's newer entry must
-            # never be shadowed by a value we loaded before it ran.
-            merged = dict(self._load())
-            merged.update(self._read_file(record=False))
+            self._sync()
+            lines = []
             for key, value in items:
                 hex_value = float(value).hex()
-                merged[key] = [hex_value, _entry_checksum(key, hex_value)]
-            self._entries = merged
-            self._write()
+                self._entries[key] = hex_value
+                lines.append(_record_line(key, hex_value))
+            if self._rewrite_due:
+                self._rewrite()
+            else:
+                self._append(lines)
         metrics = current_obs().metrics
         metrics.counter("quantile_cache.writes").inc(len(items))
         if metrics.enabled:
             try:
                 metrics.gauge("quantile_cache.file_bytes").set(
                     os.path.getsize(self.path))
-                metrics.gauge("quantile_cache.entries").set(len(merged))
+                metrics.gauge("quantile_cache.entries").set(
+                    len(self._entries))
             except OSError:
                 pass
 
@@ -360,7 +529,7 @@ class QuantileCache:
         self._entries = {}
         if self.enabled:
             with _advisory_lock(self.path):
-                self._write()
+                self._rewrite()
 
     def __len__(self) -> int:
         return len(self._load())

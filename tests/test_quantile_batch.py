@@ -222,3 +222,43 @@ def test_analyzer_invariant_solves_match_engine(tmp_path, tech90):
     expected = _fresh_engine(tech90).chip_quantile_batch(
         vdds, 0.99, 0.0, cluster=False)
     np.testing.assert_array_equal(got, expected)
+
+
+def test_invariant_answers_never_served_from_scalar_warmed_cache(tmp_path):
+    """Regression: a shared cache dir served /v1 whatever solved it first.
+
+    The memo and disk keys did not name the solver, so an invariant query
+    after a scalar solve at the same point returned the scalar bits
+    (0x1.2d92ee8ae9676p-27 instead of 0x1.2d92ee8ae9508p-27 at 90 nm,
+    0.61 V).
+    """
+    def analyzer(directory):
+        return VariationAnalyzer("90nm", quantile_cache=QuantileCache(
+            path=str(tmp_path / directory / "quantiles.json"),
+            enabled=True))
+
+    analyzer("shared").chip_quantile(0.61)
+    served = analyzer("shared").chip_quantiles([0.61], invariant=True)[0]
+    cold = analyzer("cold").chip_quantiles([0.61], invariant=True)[0]
+    assert served.hex() == cold.hex()
+    # And the scalar entry is still a hit for the scalar path.
+    warm = analyzer("shared")
+    warm.chip_quantile(0.61)
+    assert warm.quantile_cache.hits == 1
+
+
+@pytest.mark.parametrize("vdd", [0.0, -0.5, float("inf"), float("nan")])
+def test_analyzer_rejects_bad_vdd_before_any_cache_probe(vdd, tech90):
+    class NoCache:
+        def __getattr__(self, name):
+            raise AssertionError(f"cache probed: {name}")
+
+    analyzer = VariationAnalyzer(tech90, width=8, paths_per_lane=4,
+                                 chain_length=10, quantile_cache=NoCache())
+    with pytest.raises(ConfigurationError, match="vdd"):
+        analyzer.chip_quantile(vdd)
+    with pytest.raises(ConfigurationError, match="vdd"):
+        analyzer.chip_quantiles(np.array([0.6, vdd]))
+    with pytest.raises(ConfigurationError, match="vdd"):
+        analyzer.chip_quantiles(vdd, invariant=True)
+    assert analyzer._signoff_cache == {}

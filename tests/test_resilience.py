@@ -271,14 +271,27 @@ def test_fig4_bit_identical_under_injected_crash(monkeypatch, tmp_path):
 # -- crash-safe cache ----------------------------------------------------------
 
 
+def _read_journal(path) -> tuple:
+    """``(header line, {key: [key, hex_value, crc32]})`` of a cache file."""
+    header, *lines = open(path).read().splitlines()
+    records = [json.loads(line) for line in lines]
+    return header, {rec[0]: rec for rec in records}
+
+
+def _write_journal(path, header: str, records: dict) -> None:
+    open(path, "w").write("".join(
+        line + "\n" for line in
+        [header] + [json.dumps(rec) for rec in records.values()]))
+
+
 def test_cache_corrupt_entry_quarantined_and_recomputed(tmp_path):
     path = str(tmp_path / "quantiles.json")
     cache = QuantileCache(path=path, enabled=True)
     cache.put_many([("a", 1.5e-9), ("b", 2.5e-9)])
 
-    doc = json.loads(open(path).read())
-    doc["entries"]["a"][0] = "0x1.badp-30"         # bit-flip the value
-    open(path, "w").write(json.dumps(doc))
+    header, records = _read_journal(path)
+    records["a"][1] = "0x1.badp-30"                # bit-flip the value
+    _write_journal(path, header, records)
 
     ledger = FaultLedger()
     obs = build_obs(metrics=True)
@@ -298,10 +311,9 @@ def test_cache_checksum_detects_swapped_entries(tmp_path):
     path = str(tmp_path / "quantiles.json")
     cache = QuantileCache(path=path, enabled=True)
     cache.put_many([("a", 1.5e-9), ("b", 2.5e-9)])
-    doc = json.loads(open(path).read())
-    doc["entries"]["a"], doc["entries"]["b"] = (doc["entries"]["b"],
-                                                doc["entries"]["a"])
-    open(path, "w").write(json.dumps(doc))
+    header, records = _read_journal(path)
+    records["a"][1:], records["b"][1:] = records["b"][1:], records["a"][1:]
+    _write_journal(path, header, records)
     # Checksums are keyed: swapping two valid records invalidates both.
     assert QuantileCache(path=path, enabled=True).get_many(
         ["a", "b"]) == [None, None]
@@ -310,7 +322,7 @@ def test_cache_checksum_detects_swapped_entries(tmp_path):
 def test_cache_truncated_file_quarantined_whole(tmp_path):
     path = str(tmp_path / "quantiles.json")
     QuantileCache(path=path, enabled=True).put_many([("a", 1.0e-9)])
-    open(path, "w").write('{"version": 2, "entr')
+    open(path, "w").write('{"version": 3\n["a", "0x1.')   # torn header
 
     ledger = FaultLedger()
     obs = build_obs(metrics=True)
@@ -344,6 +356,8 @@ def test_cache_faultlab_corruption_injection(tmp_path):
         values = cache.get_many(["a", "b"])
     assert values == [None, 2.0e-9]    # first sorted key poisoned
     assert cache.quarantined == 1
+    # Poisoned in memory only: the journal record on disk is intact.
+    assert _read_journal(path)[1]["a"][1] == (1.0e-9).hex()
     # The injection was one-shot: a fresh read sees the intact file.
     assert QuantileCache(path=path, enabled=True).get_many(
         ["a", "b"]) == [1.0e-9, 2.0e-9]

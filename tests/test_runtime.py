@@ -156,6 +156,15 @@ def test_cache_tolerates_corrupt_file(tmp_path):
     assert cache.get("anything") is None
     cache.put("k", 2.0)        # must recover by rewriting the file
     assert QuantileCache(path=str(path), enabled=True).get("k") == 2.0
+    # A journal whose header parses but whose records are garbage.
+    path.write_text('{"version": 3}\n{not json!\n["k", 1, 2, 3]\n')
+    cache = QuantileCache(path=str(path), enabled=True)
+    assert cache.get("anything") is None
+    assert cache.quarantined == 2
+    cache.put("k", 2.0)        # damaged: the put rewrites the file whole
+    assert path.read_text().splitlines()[0] == '{"version": 3}'
+    assert QuantileCache(path=str(path), enabled=True).get("k") == 2.0
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_cache_disable_env(tmp_path, monkeypatch):
