@@ -86,7 +86,8 @@ def check_crash_recovery(manifest_path: str) -> list:
 
     manifest = build_manifest(
         targets=["fig4"], fast=True, jobs=2, root_seed=0,
-        profiler=runtime.profiler, metrics=runtime.obs.metrics,
+        stages=runtime.obs.tracer.stats.as_dict(),
+        metrics=runtime.obs.metrics,
         cache_before=cache_before, cache_after=cache_after,
         elapsed_wall_s=elapsed, resilience=runtime.ledger.as_dict(),
         faults=FAULT_SPEC)

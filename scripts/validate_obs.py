@@ -8,7 +8,11 @@ trace must contain spans recorded in at least two distinct processes
 (proof that pool workers handed their span batches back), and with
 ``--expect-fault-events KIND`` (repeatable) the manifest's resilience
 ledger must contain at least one event of each named kind (proof that a
-chaos run actually exercised its recovery path).
+chaos run actually exercised its recovery path).  Every manifest must be
+the current ``MANIFEST_VERSION`` with a ``self_s`` in each ``stages``
+entry, and for a serial experiment run (``run.jobs == 1``) the stage
+self times must add up to within 5 % of ``timing.elapsed_wall_s`` —
+the span profile accounts for the whole wall clock.
 
 Serving telemetry artifacts are covered too: ``--openmetrics FILE``
 checks a ``GET /metrics`` scrape against the OpenMetrics structural
@@ -16,7 +20,9 @@ rules (``# EOF``, cumulative buckets, ``+Inf`` == count), and
 ``--flight FILE`` checks a flight-recorder dump (schema, monotonic
 ``seq``, drop-counter arithmetic).  Serve manifests (``targets ==
 ["serve"]``) are recognised automatically: they must record served
-requests and skip the experiment-stage requirement.
+requests and skip the experiment-stage requirement and the self-time
+closure (concurrent requests overlap, so their self times need not
+add up to the wall clock).
 
 Usage::
 
@@ -41,6 +47,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.obs.flight import FLIGHT_SCHEMA                   # noqa: E402
 from repro.obs.manifest import (                             # noqa: E402
     MANIFEST_SCHEMA,
+    MANIFEST_VERSION,
     TRACE_SCHEMA,
     validate_schema,
 )
@@ -91,6 +98,16 @@ def check_manifest(path: Path, expect_fault_events=()) -> list:
                        for e in _flight_errors(doc["flight"])]
     elif not any(name.startswith("experiment.") for name in stages):
         errors.append(f"{path}: no experiment.* stage recorded")
+    if doc.get("manifest_version") != MANIFEST_VERSION:
+        errors.append(f"{path}: manifest_version "
+                      f"{doc.get('manifest_version')!r}, expected "
+                      f"{MANIFEST_VERSION}")
+    missing = sorted(name for name, rec in stages.items()
+                     if not isinstance(rec, dict) or "self_s" not in rec)
+    if missing:
+        errors.append(f"{path}: stages without self_s: {missing}")
+    elif doc.get("run", {}).get("jobs") == 1 and not serving:
+        errors += _closure_errors(path, stages, doc)
     resilience = doc.get("resilience", {})
     counts = resilience.get("counts", {})
     events = resilience.get("events", [])
@@ -107,6 +124,22 @@ def check_manifest(path: Path, expect_fault_events=()) -> list:
               f"cache {cache.get('hits')}h/{cache.get('misses')}m, "
               f"{len(stages)} stages, {len(events)} resilience event(s)")
     return errors
+
+
+#: Largest allowed gap between a serial run's summed stage self times
+#: and its measured wall clock, as a fraction of the wall clock.
+CLOSURE_TOLERANCE = 0.05
+
+
+def _closure_errors(path: Path, stages: dict, doc: dict) -> list:
+    """Serial runs: stage self times must add up to the wall clock."""
+    wall = doc.get("timing", {}).get("elapsed_wall_s", 0.0)
+    total = sum(rec["self_s"] for rec in stages.values())
+    if wall <= 0 or abs(total - wall) > CLOSURE_TOLERANCE * wall:
+        return [f"{path}: stage self times sum to {total:.3f} s, not "
+                f"within {CLOSURE_TOLERANCE:.0%} of the wall clock "
+                f"{wall:.3f} s"]
+    return []
 
 
 def _flight_errors(doc: dict) -> list:

@@ -30,9 +30,10 @@ from repro.devices.technology import TechnologyNode, get_technology
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.obs.api import counter as _obs_counter
 from repro.obs.api import gauge as _obs_gauge
+from repro.obs.api import span as _obs_span
 from repro.resilience.ledger import current_ledger
 from repro.runtime.cache import QuantileCache, technology_fingerprint
-from repro.runtime.context import current_runtime, profiled_stage
+from repro.runtime.context import current_runtime
 
 __all__ = ["VariationAnalyzer"]
 
@@ -194,11 +195,11 @@ class VariationAnalyzer:
         disk_key = self._disk_key(key)
         value = self.quantile_cache.get(disk_key)
         if value is None:
-            with profiled_stage("analyzer.quantile_solve"):
+            with _obs_span("analyzer.quantile_solve"):
                 value = self.engine.chip_quantile(vdd, q_eff, spares=spares)
             self.quantile_cache.put(disk_key, value)
         else:
-            with profiled_stage("analyzer.quantile_cache_hit"):
+            with _obs_span("analyzer.quantile_cache_hit"):
                 pass
         self._signoff_cache[key] = value
         return value
@@ -288,8 +289,8 @@ class VariationAnalyzer:
             solve_keys = [k for k, v in zip(ukeys, disk_vals) if v is None]
             solved: dict = {}
             if solve_keys:
-                with profiled_stage("analyzer.quantile_solve_batch",
-                                    len(solve_keys)):
+                with _obs_span("analyzer.quantile_solve_batch",
+                               samples=len(solve_keys)):
                     values = np.atleast_1d(
                         self._solve_batch(solve_keys, invariant=invariant))
                 solved = dict(zip(solve_keys, (float(v) for v in values)))
@@ -397,7 +398,7 @@ class VariationAnalyzer:
             self._tail_hit(est)
             return est
         sampler = self._tail_sampler(spares)
-        with profiled_stage("analyzer.tail_solve", int(n_samples)):
+        with _obs_span("analyzer.tail_solve", samples=int(n_samples)):
             if kind == "quantile":
                 est = sampler.tail_quantile(
                     vdd, target, n_samples=n_samples, proposal=proposal,
@@ -559,7 +560,7 @@ class VariationAnalyzer:
         else:
             if rng is None:
                 rng = np.random.default_rng(seed)
-            with profiled_stage("analyzer.sample_chips", n_samples):
+            with _obs_span("analyzer.sample_chips", samples=n_samples):
                 samples = self.engine.sample_chips(vdd, n_samples, rng,
                                                    spares=spares)
         if label is None:

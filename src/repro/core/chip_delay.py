@@ -66,6 +66,7 @@ from repro.errors import (
 )
 from repro.obs.api import counter as _obs_counter
 from repro.obs.api import histogram as _obs_histogram
+from repro.obs.api import span as _obs_span
 from repro.resilience.faultlab import active_plan
 from repro.resilience.ledger import current_ledger
 
@@ -814,43 +815,44 @@ class ChipDelayEngine:
         # Solve each distinct (vdd, q, spares) point once and scatter the
         # roots back — sweeps assembled from overlapping grids often repeat
         # points, and the spline seeding needs distinct voltages anyway.
-        seen: dict = {}
-        scatter = np.empty(vdds.size, dtype=int)
-        ukeys: list = []
-        uq: list = []
-        usp: list = []
-        for i, (v, qv, sv) in enumerate(zip(vdds, qs, sps)):
-            point = (round(float(v), 9), float(qv), float(sv))
-            j = seen.get(point)
-            if j is None:
-                j = len(ukeys)
-                seen[point] = j
-                ukeys.append(point[0])
-                uq.append(point[1])
-                usp.append(point[2])
-            scatter[i] = j
-        uq_arr = np.asarray(uq)
-        usp_arr = np.asarray(usp)
-        self._ensure_kernels(ukeys)
-        uout = np.empty(len(ukeys))
-        for start in range(0, len(ukeys), int(chunk_size)):
-            sl = slice(start, start + int(chunk_size))
-            try:
-                uout[sl] = self._solve_points(ukeys[sl], uq_arr[sl],
-                                              usp_arr[sl], cluster=cluster)
-            except (ConvergenceError, FloatingPointError) as exc:
-                # Mark the whole chunk for the rescue ladder rather than
-                # aborting a multi-chunk batch on one bad cluster.
-                uout[sl] = np.nan
-                current_ledger().record(
-                    "solver_chunk_failed", error=repr(exc),
-                    points=int(uout[sl].size))
-        self._inject_solver_nan(uout)
-        bad = ~np.isfinite(uout) | (uout <= 0.0)
-        if bad.any():
-            self._rescue_points(uout, np.flatnonzero(bad), ukeys, uq_arr,
-                                usp_arr)
-        out = uout[scatter]
+        with _obs_span("solver.batch", samples=int(vdds.size)):
+            seen: dict = {}
+            scatter = np.empty(vdds.size, dtype=int)
+            ukeys: list = []
+            uq: list = []
+            usp: list = []
+            for i, (v, qv, sv) in enumerate(zip(vdds, qs, sps)):
+                point = (round(float(v), 9), float(qv), float(sv))
+                j = seen.get(point)
+                if j is None:
+                    j = len(ukeys)
+                    seen[point] = j
+                    ukeys.append(point[0])
+                    uq.append(point[1])
+                    usp.append(point[2])
+                scatter[i] = j
+            uq_arr = np.asarray(uq)
+            usp_arr = np.asarray(usp)
+            self._ensure_kernels(ukeys)
+            uout = np.empty(len(ukeys))
+            for start in range(0, len(ukeys), int(chunk_size)):
+                sl = slice(start, start + int(chunk_size))
+                try:
+                    uout[sl] = self._solve_points(ukeys[sl], uq_arr[sl],
+                                                  usp_arr[sl], cluster=cluster)
+                except (ConvergenceError, FloatingPointError) as exc:
+                    # Mark the whole chunk for the rescue ladder rather than
+                    # aborting a multi-chunk batch on one bad cluster.
+                    uout[sl] = np.nan
+                    current_ledger().record(
+                        "solver_chunk_failed", error=repr(exc),
+                        points=int(uout[sl].size))
+            self._inject_solver_nan(uout)
+            bad = ~np.isfinite(uout) | (uout <= 0.0)
+            if bad.any():
+                self._rescue_points(uout, np.flatnonzero(bad), ukeys, uq_arr,
+                                    usp_arr)
+            out = uout[scatter]
         if shape == ():
             return float(out[0])
         return out.reshape(shape)
@@ -930,27 +932,30 @@ class ChipDelayEngine:
         """
         if not 0.0 < q < 1.0:
             raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
-        _obs_counter("solver.scalar_solves").inc()
-        vdd = float(vdd)
-        ref = self._cdf_kernel(vdd).ref
-        lo = 0.4 * ref
-        hi = 1.6 * ref
-        for _ in range(80):
-            if self.chip_cdf(vdd, hi, spares) > q:
-                break
-            hi *= 1.25
-        else:
-            raise ConvergenceError("could not bracket the chip-delay quantile")
-        for _ in range(80):
-            if self.chip_cdf(vdd, lo, spares) < q:
-                break
-            lo *= 0.8
-        else:
-            raise ConvergenceError("could not bracket the chip-delay quantile")
-        # xtol is absolute: delays are ~1e-9 s, so it must sit far below the
-        # delay scale or it, not rtol, bounds the achieved precision.
-        return brentq(lambda x: self.chip_cdf(vdd, x, spares) - q, lo, hi,
-                      xtol=1e-24, rtol=1e-12)
+        with _obs_span("solver.scalar"):
+            _obs_counter("solver.scalar_solves").inc()
+            vdd = float(vdd)
+            ref = self._cdf_kernel(vdd).ref
+            lo = 0.4 * ref
+            hi = 1.6 * ref
+            for _ in range(80):
+                if self.chip_cdf(vdd, hi, spares) > q:
+                    break
+                hi *= 1.25
+            else:
+                raise ConvergenceError(
+                    "could not bracket the chip-delay quantile")
+            for _ in range(80):
+                if self.chip_cdf(vdd, lo, spares) < q:
+                    break
+                lo *= 0.8
+            else:
+                raise ConvergenceError(
+                    "could not bracket the chip-delay quantile")
+            # xtol is absolute: delays are ~1e-9 s, so it must sit far below
+            # the delay scale or it, not rtol, bounds the achieved precision.
+            return brentq(lambda x: self.chip_cdf(vdd, x, spares) - q, lo, hi,
+                          xtol=1e-24, rtol=1e-12)
 
     # -- sampling --------------------------------------------------------------
 

@@ -52,6 +52,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.obs.api import counter as _obs_counter
 from repro.obs.api import gauge as _obs_gauge
+from repro.obs.api import span as _obs_span
 
 __all__ = ["MonteCarloKernel", "WorkspaceArena", "PRECISIONS",
            "DEFAULT_BLOCK_ELEMS"]
@@ -366,13 +367,14 @@ class MonteCarloKernel:
         if proposal is not None and logw_out is None:
             raise ConfigurationError(
                 "system_batch with a proposal needs logw_out")
-        arena = self.arena()
-        for start, stop in spans:
-            self._system_block(
-                arena, rngs[start:stop], vdd, n_lanes, paths_per_lane,
-                chain_length, spares, out[start:stop], proposal=proposal,
-                logw=None if logw_out is None else logw_out[start:stop],
-                d2d=None if d2d_out is None else d2d_out[start:stop])
+        with _obs_span("kernels.system_batch", samples=total):
+            arena = self.arena()
+            for start, stop in spans:
+                self._system_block(
+                    arena, rngs[start:stop], vdd, n_lanes, paths_per_lane,
+                    chain_length, spares, out[start:stop], proposal=proposal,
+                    logw=None if logw_out is None else logw_out[start:stop],
+                    d2d=None if d2d_out is None else d2d_out[start:stop])
         self._record(total, total * row_elems, len(spans))
 
     def _system_block(self, arena, rngs, vdd, n_lanes, paths_per_lane,
@@ -434,10 +436,11 @@ class MonteCarloKernel:
         total = len(rngs)
         row_elems = paths_per_lane * chain_length
         spans = self._spans(total, row_elems)
-        arena = self.arena()
-        for start, stop in spans:
-            self._lane_block(arena, rngs[start:stop], vdd, paths_per_lane,
-                             chain_length, out[start:stop])
+        with _obs_span("kernels.lane_batch", samples=total):
+            arena = self.arena()
+            for start, stop in spans:
+                self._lane_block(arena, rngs[start:stop], vdd, paths_per_lane,
+                                 chain_length, out[start:stop])
         self._record(total, total * row_elems, len(spans))
 
     def _lane_block(self, arena, rngs, vdd, paths_per_lane, chain_length,
@@ -482,32 +485,33 @@ class MonteCarloKernel:
         var = self.tech.variation
         vdd = float(vdd)
         shape = (n_samples, chain_length)
-        arena = self.arena()
-        a = self._alloc(arena, "dvth", shape)
-        m = self._alloc(arena, "mult", shape)
-        var.fill_gates(rng, a, m, staging=self._staging_for(arena, shape))
-        if include_die:
-            die = var.sample_dies(rng, n_samples)
-            lane = var.sample_lanes(rng, n_samples)
-            corr = die.dvth + lane.dvth
-            corr_mult = (1.0 + die.mult) * (1.0 + lane.mult)
-        if self.fused:
+        with _obs_span("kernels.chain_batch", samples=n_samples):
+            arena = self.arena()
+            a = self._alloc(arena, "dvth", shape)
+            m = self._alloc(arena, "mult", shape)
+            var.fill_gates(rng, a, m, staging=self._staging_for(arena, shape))
             if include_die:
-                np.add(a, self._cast(corr)[:, None], out=a)
-            out = np.empty(n_samples, dtype=self._dtype)
-            spans = self._spans(n_samples, chain_length)
-            for start, stop in spans:
-                self._fused_path_sums(arena, vdd, a[start:stop],
-                                      m[start:stop], out[start:stop])
-            if include_die:
-                np.multiply(out, self._cast(corr_mult), out=out)
-        else:
-            spans = [(0, n_samples)]
-            if include_die:
-                a = a + self._cast(corr)[:, None]
-            out = self._reference_path_sums(vdd, a, m)
-            if include_die:
-                out = out * self._cast(corr_mult)
+                die = var.sample_dies(rng, n_samples)
+                lane = var.sample_lanes(rng, n_samples)
+                corr = die.dvth + lane.dvth
+                corr_mult = (1.0 + die.mult) * (1.0 + lane.mult)
+            if self.fused:
+                if include_die:
+                    np.add(a, self._cast(corr)[:, None], out=a)
+                out = np.empty(n_samples, dtype=self._dtype)
+                spans = self._spans(n_samples, chain_length)
+                for start, stop in spans:
+                    self._fused_path_sums(arena, vdd, a[start:stop],
+                                          m[start:stop], out[start:stop])
+                if include_die:
+                    np.multiply(out, self._cast(corr_mult), out=out)
+            else:
+                spans = [(0, n_samples)]
+                if include_die:
+                    a = a + self._cast(corr)[:, None]
+                out = self._reference_path_sums(vdd, a, m)
+                if include_die:
+                    out = out * self._cast(corr_mult)
         self._record(n_samples, n_samples * chain_length, len(spans))
         return out
 

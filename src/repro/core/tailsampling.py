@@ -62,7 +62,7 @@ from repro.devices.technology import TechnologyNode, get_technology
 from repro.errors import ConfigurationError
 from repro.obs.api import counter as _obs_counter
 from repro.obs.api import gauge as _obs_gauge
-from repro.runtime.context import profiled_stage
+from repro.obs.api import span as _obs_span
 
 __all__ = [
     "ShiftProposal", "TailEstimate", "TailSampler", "WeightedSampleSet",
@@ -484,7 +484,7 @@ class TailSampler:
         if samples is not None:
             _obs_counter("tail.sample_set_hits").inc()
             return samples
-        with profiled_stage("tail.estimate", int(n_samples)):
+        with _obs_span("tail.estimate", samples=int(n_samples)):
             samples = WeightedSampleSet(
                 *self.sample(vdd, n_samples, proposal, root_seed))
         if store is not None:
@@ -546,7 +546,7 @@ class TailSampler:
             [_PILOT_STREAM_TAG, int(root_seed)]).spawn(int(max_rounds))
         shift = 0.0
         rounds = 0
-        with profiled_stage("tail.shift_search"):
+        with _obs_span("tail.shift_search"):
             for r in range(int(max_rounds)):
                 proposal = ShiftProposal.defensive(shift, defensive_weight)
                 delays, logw, d2d = self._pilot(vdd, int(n_pilot), proposal,

@@ -6,21 +6,29 @@ Supports the parallel runtime and observability layers:
   quantile solves fan out across ``N`` worker processes; for ``all``,
   whole experiments are dispatched across the pool so independent
   artifacts regenerate concurrently.
-* ``--profile`` — print per-stage wall-time/sample counters plus the
+* ``--profile`` — print the run's span aggregate after the run: one row
+  per span name sorted by self time (calls, self and inclusive seconds,
+  samples/s), a roll-up by layer (the name's prefix before the first
+  ``.``), and a ``self total X s of wall Y s`` line, followed by the
   metrics registry (cache hits/misses, kernel-LRU economics, solver
-  fallbacks) after the run.
+  fallbacks).
 * ``--trace FILE`` — write a Chrome trace-event JSON timeline of the
   run's spans, including spans executed inside pool workers; open it at
   https://ui.perfetto.dev.
 * ``--metrics FILE`` — write a run manifest (root seed, card
-  fingerprints, versions, cache state before/after, per-stage stats,
-  metrics snapshot, fault/recovery ledger) for bit-reproducibility
-  provenance.
+  fingerprints, versions, cache state before/after, the span aggregate
+  as ``stages``, metrics snapshot, fault/recovery ledger) for
+  bit-reproducibility provenance.
 
 Resilience controls: ``--shard-timeout SECONDS`` and ``--max-retries N``
 tune the sampler's fault-tolerant dispatcher, and ``--inject-faults
 SPEC`` runs the deterministic fault lab (e.g. ``worker_crash:1`` — see
 :mod:`repro.resilience.faultlab` for the grammar).
+
+Every target, ``serve`` included, runs inside one ``cli.run`` span, and
+one wrapper writes the trace, the manifest and the profile.
+``python -m repro.serve`` is an alias for ``python -m repro.experiments
+serve`` that accepts exactly the same flags.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import ConfigurationError, ShardExecutionError
 from repro.experiments.registry import list_experiments, run_experiment
+from repro.obs.api import Observability
 from repro.obs.manifest import build_manifest, cache_file_state, write_manifest
 from repro.obs.trace import write_chrome_trace
 from repro.resilience import RetryPolicy, parse_faults
@@ -45,49 +54,33 @@ ROOT_SEED = 0
 def _run_remote(payload: tuple) -> tuple:
     """Run one experiment inside a pool worker; returns rendered text.
 
-    The worker builds a serial runtime mirroring the parent's
-    ``--profile``/``--trace``/``--metrics`` flags, so collection happens
-    remotely only when the parent will actually consume it — a
-    non-profiled parallel ``all`` run skips it entirely (the experiment
-    runs with no active runtime at all).  Stage counters, span batches
-    and metric snapshots come back for the parent to merge.
+    ``obs_ctx`` is the parent's :meth:`Observability.worker_context`:
+    ``None`` when the parent collects nothing, and the experiment then
+    runs with no active runtime at all.  Otherwise the worker runs a
+    serial runtime on the rebuilt context (same trace id, parented under
+    the dispatching ``cli.run`` span) and hands its
+    :meth:`Observability.export` back for the parent to merge.
     """
     experiment_id, fast, obs_ctx = payload
-    profile = bool(obs_ctx.get("profile"))
-    trace = bool(obs_ctx.get("trace"))
-    metrics = bool(obs_ctx.get("metrics"))
     start = time.perf_counter()
-    if not (profile or trace or metrics):
+    if not obs_ctx:
         result = run_experiment(experiment_id, fast=fast)
-        elapsed = time.perf_counter() - start
-        return experiment_id, result.render(), elapsed, {}, {}
-    runtime = build_runtime(jobs=1, profile=profile, trace=trace,
-                            metrics=metrics)
-    if trace:
-        # Continue the parent's trace: same trace id, parented under the
-        # dispatching CLI's root span.
-        runtime.obs.tracer.trace_id = obs_ctx["trace_id"]
-        runtime.obs.tracer.base_parent = obs_ctx.get("parent")
+        return (experiment_id, result.render(),
+                time.perf_counter() - start, {})
+    runtime = build_runtime(jobs=1)
+    runtime.obs = Observability.for_worker(obs_ctx)
     result = run_experiment(experiment_id, fast=fast, runtime=runtime)
-    elapsed = time.perf_counter() - start
-    return (experiment_id, result.render(), elapsed,
-            runtime.profiler.as_dict(), runtime.obs.export())
+    return (experiment_id, result.render(), time.perf_counter() - start,
+            runtime.obs.export())
 
 
 def _run_all_parallel(targets: list, fast: bool, runtime) -> None:
     """Regenerate every experiment concurrently, printing in catalogue order."""
     obs = runtime.obs
-    obs_ctx = {
-        "profile": runtime.profile,
-        "trace": obs.tracer.enabled,
-        "trace_id": obs.tracer.trace_id,
-        "parent": obs.tracer.current_span(),
-        "metrics": obs.metrics.enabled,
-    }
+    ctx = obs.worker_context()
     with ProcessPoolExecutor(max_workers=runtime.jobs) as pool:
-        for experiment_id, rendered, elapsed, profile, obs_snap in pool.map(
-                _run_remote, [(t, fast, obs_ctx) for t in targets]):
-            runtime.profiler.merge(profile)
+        for experiment_id, rendered, elapsed, obs_snap in pool.map(
+                _run_remote, [(t, fast, ctx) for t in targets]):
             obs.merge_export(obs_snap)
             print(rendered)
             print(f"\n[{experiment_id} completed in {elapsed:.1f} s]\n")
@@ -108,14 +101,14 @@ def main(argv=None) -> int:
                              "quantile solves (and, with 'all', whole "
                              "experiments); default 1")
     parser.add_argument("--profile", action="store_true",
-                        help="print per-stage wall-time/sample counters "
-                             "and the metrics registry")
+                        help="print the span profile (self time per span "
+                             "and per layer) and the metrics registry")
     parser.add_argument("--trace", metavar="FILE", default=None,
                         help="write a Chrome trace-event JSON timeline "
                              "(open in Perfetto: https://ui.perfetto.dev)")
     parser.add_argument("--metrics", metavar="FILE", default=None,
                         help="write a JSON run manifest (seed, card "
-                             "fingerprints, cache state, stage stats, "
+                             "fingerprints, cache state, span stages, "
                              "metrics snapshot, fault ledger)")
     parser.add_argument("--shard-timeout", type=float, default=None,
                         metavar="SECONDS",
@@ -219,9 +212,8 @@ def main(argv=None) -> int:
             retry_kwargs["max_retries"] = args.max_retries
         retry = RetryPolicy(**retry_kwargs) if retry_kwargs else None
         faults = parse_faults(args.inject_faults)
-        runtime = build_runtime(jobs=args.jobs, profile=args.profile,
-                                trace=bool(args.trace),
-                                metrics=bool(args.metrics),
+        runtime = build_runtime(jobs=args.jobs, trace=bool(args.trace),
+                                metrics=bool(args.metrics or args.profile),
                                 retry=retry, faults=faults,
                                 precision=args.mc_precision)
     except ConfigurationError as exc:
@@ -276,7 +268,7 @@ def main(argv=None) -> int:
     elapsed_wall_s = time.perf_counter() - run_start
 
     if args.profile:
-        print(runtime.profiler.render())
+        print(runtime.obs.tracer.stats.render(wall_s=elapsed_wall_s))
         if len(runtime.obs.metrics):
             print()
             print(runtime.obs.metrics.render())
@@ -290,7 +282,7 @@ def main(argv=None) -> int:
     if args.metrics:
         manifest = build_manifest(
             targets=targets, fast=args.fast, jobs=runtime.jobs,
-            root_seed=ROOT_SEED, profiler=runtime.profiler,
+            root_seed=ROOT_SEED, stages=runtime.obs.tracer.stats.as_dict(),
             metrics=runtime.obs.metrics, cache_before=cache_before,
             cache_after=cache_file_state(), elapsed_wall_s=elapsed_wall_s,
             trace_file=args.trace, resilience=runtime.ledger.as_dict(),

@@ -113,8 +113,8 @@ def run_experiment(experiment_id: str, fast: bool = False,
 
     Passing a :class:`~repro.runtime.context.ReproRuntime` activates it
     for the duration of the run: the analyzer layer shards its ensemble
-    sampling across the runtime's worker pool and records per-stage
-    wall-time/sample counters on its profiler.
+    sampling across the runtime's worker pool, and the run is timed as
+    one ``experiment.<id>`` span on the runtime's observability context.
     """
     _load_all()
     try:
@@ -128,7 +128,6 @@ def run_experiment(experiment_id: str, fast: bool = False,
     # The span resolves against the runtime's obs context, which
     # activate_runtime has made current by the time it is entered.
     with activate_runtime(runtime), \
-            runtime.profiler.stage(f"experiment.{experiment_id}"), \
             _obs_span(f"experiment.{experiment_id}", fast=bool(fast)):
         return exp.run(fast=fast)
 

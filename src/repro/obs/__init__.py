@@ -1,14 +1,21 @@
 """Structured observability: span tracing, metrics, run manifests.
 
-``repro.obs`` subsumes and extends the PR-1 :mod:`repro.runtime.profile`
-wall-time tables with three machine-readable instruments:
+``repro.obs`` is the package's one timing primitive plus two
+machine-readable instruments:
 
-* **Span tracing** (:class:`Tracer`) — hierarchical ``span(name, **attrs)``
-  context managers that nest, carry attributes (node, vdd, shard id, ...)
-  and export to Chrome trace-event JSON viewable in Perfetto
-  (``python -m repro.experiments fig4 --trace trace.json``).  Spans started
-  inside :class:`~repro.runtime.parallel.ParallelSampler` pool workers are
-  serialised back with the shard results and folded into the parent trace.
+* **Spans** (:class:`Tracer`) — hierarchical ``span(name, **attrs)``
+  context managers that nest and carry attributes (node, vdd, shard id,
+  ...).  Every finished span folds into :class:`SpanStats`, a bounded
+  per-name aggregate of calls, inclusive time, self time (duration minus
+  direct children) and samples; ``--profile`` renders it sorted by self
+  time with a roll-up by layer (the name's prefix before the first
+  ``.``), and the run manifest embeds it as ``stages``.  Self times add
+  up to the wall clock of a serial run.  Under ``--trace`` the spans are
+  also kept as Chrome trace events viewable in Perfetto
+  (``python -m repro.experiments fig4 --trace trace.json``).  Spans
+  recorded inside :class:`~repro.runtime.parallel.ParallelSampler` pool
+  workers come back with the shard results through
+  :meth:`Observability.export` and fold into the parent.
 * **Metrics registry** (:class:`MetricsRegistry`) — counters, gauges and
   fixed-bucket histograms with a
   ``metrics.counter("quantile_cache.hits")``-style API, instrumented at the
@@ -16,7 +23,7 @@ wall-time tables with three machine-readable instruments:
   batch-solver secant-vs-Chandrupatla fallbacks, per-shard sample counts.
 * **Run manifests** (:func:`build_manifest`) — a JSON provenance record of
   one experiment run (root seed, card fingerprints, package/numpy versions,
-  cache state before/after, per-stage stats, metrics snapshot), written by
+  cache state before/after, span stages, metrics snapshot), written by
   ``--metrics FILE``.
 
 Everything is **off by default**: the module-level accessors
@@ -25,10 +32,6 @@ Everything is **off by default**: the module-level accessors
 observability disabled an instrumentation site costs one context-variable
 lookup and a no-op method call (guarded by
 ``benchmarks/bench_obs_overhead.py``).
-
-The PR-1 :class:`~repro.runtime.profile.Profiler` remains the aggregate
-wall-time view and is re-exported here; ``--profile`` renders both the
-stage table and the metrics counters.
 """
 
 from __future__ import annotations
@@ -69,24 +72,13 @@ from repro.obs.openmetrics import (
     parse_openmetrics,
     render_openmetrics,
 )
-from repro.obs.trace import NOOP_TRACER, Tracer, write_chrome_trace
-
-_PROFILE_EXPORTS = ("Profiler", "StageStats")
-
-
-def __getattr__(name: str):
-    # Profiler/StageStats live in repro.runtime.profile, whose package
-    # pulls in the core solver; resolve lazily so instrumenting
-    # repro.core modules with repro.obs never forms an import cycle.
-    if name in _PROFILE_EXPORTS:
-        from repro.runtime import profile
-        return getattr(profile, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.obs.trace import NOOP_TRACER, SpanStats, Tracer, write_chrome_trace
 
 
 __all__ = [
     "Observability",
     "Tracer",
+    "SpanStats",
     "MetricsRegistry",
     "Counter",
     "Gauge",
@@ -94,8 +86,6 @@ __all__ = [
     "WindowedHistogram",
     "WindowedCounter",
     "FlightRecorder",
-    "Profiler",
-    "StageStats",
     "activate_obs",
     "build_obs",
     "current_obs",

@@ -18,8 +18,8 @@ is off (see ``benchmarks/bench_obs_overhead.py``).
 
 Pool workers reconstruct a child context from the serialisable
 :meth:`Observability.worker_context` payload via
-:meth:`Observability.for_worker`, and hand their finished spans/metrics
-back with :meth:`Observability.export`.
+:meth:`Observability.for_worker`, and hand their span aggregate, finished
+trace events and metrics back with :meth:`Observability.export`.
 """
 
 from __future__ import annotations
@@ -39,8 +39,11 @@ __all__ = ["Observability", "NOOP_OBS", "build_obs", "current_obs",
 class Observability:
     """One run's observability instruments.
 
-    ``enabled`` is False only for the shared :data:`NOOP_OBS`; a real
-    instance may still carry a disabled tracer (metrics-only mode).
+    ``enabled`` is False only for the shared :data:`NOOP_OBS`.  A real
+    instance built by :func:`build_obs` always times its spans into
+    ``tracer.stats`` (the ``--profile`` / manifest aggregate); its
+    tracer keeps Chrome events only under ``--trace``
+    (``tracer.enabled``).
     """
 
     tracer: Tracer = NOOP_TRACER
@@ -73,15 +76,16 @@ class Observability:
         """A fresh worker-side context rebuilt from :meth:`worker_context`."""
         if not ctx:
             return NOOP_OBS
-        tracer = (Tracer(trace_id=ctx.get("trace_id"),
-                         parent=ctx.get("parent"))
-                  if ctx.get("trace") else NOOP_TRACER)
+        tracer = Tracer(trace_id=ctx.get("trace_id"),
+                        parent=ctx.get("parent"),
+                        events=bool(ctx.get("trace")))
         metrics = MetricsRegistry() if ctx.get("metrics") else NOOP_METRICS
         return cls(tracer=tracer, metrics=metrics)
 
     def export(self) -> dict:
         """Serialisable snapshot a worker returns with its result."""
-        return {"spans": self.tracer.events() if self.tracer.enabled else [],
+        return {"spans": self.tracer.events(),
+                "stats": self.tracer.stats.as_dict(),
                 "metrics": (self.metrics.as_dict()
                             if self.metrics.enabled else {})}
 
@@ -89,8 +93,7 @@ class Observability:
         """Fold a worker's :meth:`export` snapshot into this context."""
         if not snapshot:
             return
-        if snapshot.get("spans"):
-            self.tracer.absorb(snapshot["spans"])
+        self.tracer.absorb(snapshot.get("spans") or (), snapshot.get("stats"))
         if snapshot.get("metrics"):
             self.metrics.merge(snapshot["metrics"])
 
@@ -106,12 +109,13 @@ def build_obs(trace: bool = False, metrics: bool = False) -> Observability:
     """An :class:`Observability` with the requested instruments live.
 
     Returns the shared :data:`NOOP_OBS` when both are off, keeping the
-    disabled path allocation-free.
+    disabled path allocation-free.  Otherwise spans are always timed
+    into the tracer's aggregate; ``trace`` also keeps Chrome events.
     """
     if not (trace or metrics):
         return NOOP_OBS
     return Observability(
-        tracer=Tracer() if trace else NOOP_TRACER,
+        tracer=Tracer(events=bool(trace)),
         metrics=MetricsRegistry() if metrics else NOOP_METRICS)
 
 

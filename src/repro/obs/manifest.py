@@ -3,7 +3,7 @@
 A manifest is one JSON document describing everything that determined an
 experiment run's numbers — root seed, technology-card fingerprints,
 package and numpy versions, worker count, persistent-cache state before
-and after, per-stage profiler counters and the full metrics snapshot —
+and after, the per-name span aggregate and the full metrics snapshot —
 written by ``python -m repro.experiments ... --metrics FILE``.
 
 Identical re-runs (same command, same starting cache state) produce
@@ -30,13 +30,14 @@ __all__ = ["MANIFEST_SCHEMA", "TRACE_SCHEMA", "TIMING_KEYS",
            "build_manifest", "write_manifest", "cache_file_state",
            "strip_timing", "validate_schema"]
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 #: Key names (exact) holding wall-clock data; stripped when comparing
 #: manifests for determinism.  ``t_s`` is the flight recorder's event
-#: timestamp.
+#: timestamp; ``inclusive_s``/``self_s`` are the span aggregate's times.
 TIMING_KEYS = frozenset({
     "wall_s", "elapsed_wall_s", "timing", "worker_utilization", "t_s",
+    "inclusive_s", "self_s",
 })
 
 
@@ -61,7 +62,7 @@ def cache_file_state(path: str | None = None) -> dict:
 
 
 def build_manifest(*, targets, fast: bool, jobs: int, root_seed: int,
-                   profiler, metrics, cache_before: dict,
+                   stages: dict | None, metrics, cache_before: dict,
                    cache_after: dict, elapsed_wall_s: float,
                    trace_file: str | None = None,
                    resilience: dict | None = None,
@@ -69,9 +70,9 @@ def build_manifest(*, targets, fast: bool, jobs: int, root_seed: int,
                    flight: dict | None = None) -> dict:
     """Assemble the provenance manifest for one finished run.
 
-    ``profiler`` is a :class:`~repro.runtime.profile.Profiler` (or
-    ``None``), ``metrics`` a
-    :class:`~repro.obs.metrics.MetricsRegistry` (or ``None``); both are
+    ``stages`` is the run's span aggregate snapshot
+    (:meth:`repro.obs.trace.SpanStats.as_dict`, or ``None``), ``metrics``
+    a :class:`~repro.obs.metrics.MetricsRegistry` (or ``None``), which is
     snapshotted, not referenced.  ``resilience`` is the run's fault
     ledger (:meth:`~repro.resilience.ledger.FaultLedger.as_dict`) and
     ``faults`` the ``--inject-faults`` spec, if any — together they make
@@ -112,7 +113,7 @@ def build_manifest(*, targets, fast: bool, jobs: int, root_seed: int,
             "hits": int(counters.get("quantile_cache.hits", 0)),
             "misses": int(counters.get("quantile_cache.misses", 0)),
         },
-        "stages": profiler.as_dict() if profiler is not None else {},
+        "stages": dict(stages or {}),
         "metrics": metric_snap,
         "resilience": (resilience if resilience is not None
                        else {"events": [], "counts": {}}),
@@ -148,9 +149,10 @@ def strip_timing(obj):
 
 _STAGE_SCHEMA = {
     "type": "object",
-    "required": ["calls", "wall_s", "samples"],
+    "required": ["calls", "inclusive_s", "self_s", "samples"],
     "properties": {"calls": {"type": "number"},
-                   "wall_s": {"type": "number"},
+                   "inclusive_s": {"type": "number"},
+                   "self_s": {"type": "number"},
                    "samples": {"type": "number"}},
 }
 

@@ -13,7 +13,7 @@ counters concurrently with the event loop, so updates take a per-
 instrument lock (uncontended in the common case).  Registries serialise
 with :meth:`as_dict` and fold worker snapshots back in with :meth:`merge`
 (counters and histograms add; gauges take the incoming value) — the same
-cross-process contract as :meth:`repro.runtime.profile.Profiler.merge`.
+cross-process contract as :meth:`repro.obs.trace.SpanStats.merge`.
 
 For live serving dashboards there are additionally *windowed*
 instruments — :class:`WindowedHistogram` and :class:`WindowedCounter` —

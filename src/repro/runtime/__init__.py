@@ -1,13 +1,14 @@
 """Execution runtime: parallel sharded sampling, persistent quantile
-cache, and lightweight profiling.
+cache, and the active-run context.
 
 The statistics layer (:mod:`repro.core`) stays pure and serial; this
 package supplies the *how fast* — see :class:`ParallelSampler` for
 reproducible process-parallel sampling, :class:`QuantileCache` for the
 on-disk memo of deterministic sign-off quantiles, and
 :class:`ReproRuntime` / :func:`activate_runtime` for threading a worker
-pool and profiler through the experiment registry
-(``python -m repro.experiments --jobs N --profile``).
+pool and observability context through the experiment registry
+(``python -m repro.experiments --jobs N --profile``; the profile is the
+span aggregate of :mod:`repro.obs`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.runtime.context import (
     ReproRuntime,
     activate_runtime,
     current_runtime,
-    profiled_stage,
 )
 from repro.runtime.parallel import (
     DEFAULT_SHARD_SIZE,
@@ -32,17 +32,13 @@ from repro.runtime.parallel import (
     release_worker_workspaces,
     shard_seeds,
 )
-from repro.runtime.profile import Profiler, StageStats
 
 __all__ = [
     "ParallelSampler",
     "QuantileCache",
     "ReproRuntime",
-    "Profiler",
-    "StageStats",
     "activate_runtime",
     "current_runtime",
-    "profiled_stage",
     "build_runtime",
     "plan_shards",
     "release_worker_workspaces",
@@ -55,16 +51,15 @@ __all__ = [
 ]
 
 
-def build_runtime(jobs: int = 1, profile: bool = False,
-                  trace: bool = False, metrics: bool = False,
+def build_runtime(jobs: int = 1, trace: bool = False, metrics: bool = False,
                   retry=None, faults=None,
                   precision: str = "float64") -> ReproRuntime:
     """A ready-to-activate runtime with a sampler sized to ``jobs``.
 
-    ``trace`` turns on span collection (``--trace FILE``); ``metrics``
-    turns on the counter/gauge/histogram registry (``--metrics FILE``).
-    ``--profile`` implies the metrics registry so the cache and solver
-    counters can be rendered alongside the stage table.  ``retry`` is an
+    ``trace`` keeps Chrome trace events (``--trace FILE``); ``metrics``
+    turns on the counter/gauge/histogram registry (``--metrics FILE``,
+    ``--profile``).  Either one also turns on the span aggregate that
+    ``--profile`` renders and the manifest embeds.  ``retry`` is an
     optional :class:`~repro.resilience.policy.RetryPolicy` for the
     sampler's fault-tolerant dispatcher, and ``faults`` an optional
     :class:`~repro.resilience.faultlab.FaultPlan` installed while the
@@ -78,11 +73,8 @@ def build_runtime(jobs: int = 1, profile: bool = False,
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     runtime = ReproRuntime(
-        jobs=jobs, profile=bool(profile),
-        obs=build_obs(trace=bool(trace),
-                      metrics=bool(metrics or profile or trace)),
+        jobs=jobs,
+        obs=build_obs(trace=bool(trace), metrics=bool(metrics or trace)),
         faults=faults, precision=str(precision))
-    runtime.sampler = ParallelSampler(jobs,
-                                      profiler=runtime.profiler,
-                                      retry=retry)
+    runtime.sampler = ParallelSampler(jobs, retry=retry)
     return runtime

@@ -1,4 +1,4 @@
-"""The active runtime: worker pool + profiler threaded through the stack.
+"""The active runtime: worker pool + obs context threaded through the stack.
 
 The experiment registry and :class:`~repro.core.analyzer.VariationAnalyzer`
 sit several layers apart, and forcing every runner signature to carry a
@@ -6,8 +6,9 @@ sit several layers apart, and forcing every runner signature to carry a
 :class:`ReproRuntime` is *activated* for the duration of a run
 (:func:`activate_runtime`), and the layers below consult
 :func:`current_runtime` — the analyzer routes ensemble sampling through the
-active :class:`~repro.runtime.parallel.ParallelSampler` and records its hot
-stages on the active profiler via :func:`profiled_stage`.
+active :class:`~repro.runtime.parallel.ParallelSampler` and times its hot
+stages as :func:`repro.obs.api.span` blocks, which the runtime's
+observability context aggregates for ``--profile`` and the manifest.
 
 A :class:`contextvars.ContextVar` keeps activations re-entrant and safe
 under nested/concurrent use (each pool worker simply has no active runtime
@@ -23,10 +24,8 @@ from dataclasses import dataclass, field
 from repro.obs.api import NOOP_OBS, Observability, activate_obs
 from repro.resilience.faultlab import install_faults
 from repro.resilience.ledger import FaultLedger, activate_ledger
-from repro.runtime.profile import Profiler
 
-__all__ = ["ReproRuntime", "current_runtime", "activate_runtime",
-           "profiled_stage"]
+__all__ = ["ReproRuntime", "current_runtime", "activate_runtime"]
 
 _ACTIVE: ContextVar = ContextVar("repro_runtime", default=None)
 
@@ -39,17 +38,13 @@ class ReproRuntime:
     ----------
     jobs:
         Worker-process budget (1 = fully in-process).
-    profile:
-        Whether the CLI should render the profiler at the end.
     sampler:
         A :class:`~repro.runtime.parallel.ParallelSampler` (or ``None`` for
         a serial runtime); typed loosely to keep this module import-light.
-    profiler:
-        Stage counters shared by every layer of the run.
     obs:
-        The run's :class:`~repro.obs.api.Observability` (tracer +
-        metrics); defaults to the shared no-op context, so
-        instrumentation below stays free unless the CLI asked for
+        The run's :class:`~repro.obs.api.Observability` (tracer with its
+        span aggregate + metrics); defaults to the shared no-op context,
+        so instrumentation below stays free unless the CLI asked for
         ``--trace`` / ``--metrics`` / ``--profile``.
     ledger:
         The run's :class:`~repro.resilience.ledger.FaultLedger` — every
@@ -66,9 +61,7 @@ class ReproRuntime:
     """
 
     jobs: int = 1
-    profile: bool = False
     sampler: object = None
-    profiler: Profiler = field(default_factory=Profiler)
     obs: Observability = field(default_factory=lambda: NOOP_OBS)
     ledger: FaultLedger = field(default_factory=FaultLedger)
     faults: object = None
@@ -102,21 +95,3 @@ def activate_runtime(runtime: ReproRuntime):
             yield runtime
     finally:
         _ACTIVE.reset(token)
-
-
-@contextmanager
-def profiled_stage(name: str, samples: int = 0):
-    """Record the block on the active runtime's profiler (no-op otherwise).
-
-    When the runtime carries a live tracer the block also becomes a span
-    of the same name, so ``--profile`` aggregates and ``--trace``
-    timelines stay consistent.
-    """
-    runtime = _ACTIVE.get()
-    if runtime is None:
-        yield
-        return
-    obs = runtime.obs or NOOP_OBS
-    with runtime.profiler.stage(name, samples), \
-            obs.tracer.span(name, samples=samples):
-        yield

@@ -23,12 +23,12 @@ size, never on ``jobs``.
 **Observability**: when an :class:`~repro.obs.api.Observability` context is
 active, every shard dispatched to the pool carries the parent's
 ``(trace_id, span id)``; the worker runs its own tracer/metrics, wraps the
-shard in a span, and serialises both back with the result (the same
-hand-back pattern as :meth:`Profiler.as_dict`).  The parent absorbs the
-span batches — Perfetto shows one track per worker pid — folds the metric
-snapshots in, and derives a ``sampler.worker_utilization`` gauge from the
-shard busy times.  With observability off, tasks carry no context and
-workers skip collection entirely.
+shard in a span, and serialises its span aggregate, trace events and
+metrics back with the result (:meth:`Observability.export`).  The parent
+folds them in — Perfetto shows one track per worker pid — and derives a
+``sampler.worker_utilization`` gauge from the shard busy times.  With
+observability off, tasks carry no context and workers skip collection
+entirely.
 
 **Shared-memory transport**: pool results above ``shm_min_bytes`` skip the
 pickle round trip.  The parent preallocates one
@@ -81,7 +81,6 @@ from repro.obs.api import Observability, activate_obs, current_obs
 from repro.resilience.faultlab import active_plan, fire_shard_faults
 from repro.resilience.ledger import current_ledger
 from repro.resilience.policy import RetryPolicy
-from repro.runtime.context import current_runtime
 
 __all__ = ["ParallelSampler", "plan_shards", "shard_seeds",
            "release_worker_workspaces",
@@ -356,9 +355,6 @@ class ParallelSampler:
     shard_size:
         Chips per shard.  Part of the reproducibility key: changing it
         changes the random stream, changing ``jobs`` never does.
-    profiler:
-        Optional explicit :class:`~repro.runtime.profile.Profiler`; when
-        absent, stages are recorded on the active runtime's profiler.
     retry:
         The :class:`~repro.resilience.policy.RetryPolicy` governing shard
         retries, the hung-worker deadline and pool respawns; defaults to
@@ -372,7 +368,7 @@ class ParallelSampler:
 
     def __init__(self, jobs: int | None = None, *,
                  shard_size: int = DEFAULT_SHARD_SIZE,
-                 profiler=None, retry: RetryPolicy | None = None,
+                 retry: RetryPolicy | None = None,
                  shm_min_bytes: int = DEFAULT_SHM_MIN_BYTES) -> None:
         if jobs is None:
             jobs = os.cpu_count() or 1
@@ -386,7 +382,6 @@ class ParallelSampler:
                 f"shm_min_bytes must be >= 0, got {shm_min_bytes}")
         self.jobs = int(jobs)
         self.shard_size = int(shard_size)
-        self.profiler = profiler
         self.retry = RetryPolicy() if retry is None else retry
         self.shm_min_bytes = int(shm_min_bytes)
         self._executor: ProcessPoolExecutor | None = None
@@ -433,32 +428,25 @@ class ParallelSampler:
 
     # -- execution ----------------------------------------------------------
 
-    def _record(self, name: str, wall_s: float, samples: int) -> None:
-        profiler = self.profiler
-        if profiler is None:
-            runtime = current_runtime()
-            profiler = runtime.profiler if runtime is not None else None
-        if profiler is not None:
-            profiler.record(name, wall_s, samples)
-
     def _run(self, fn, tasks: list, stage: str, n_samples: int,
              result_dtype=np.float64) -> np.ndarray:
         obs = current_obs()
         start = time.perf_counter()
         busy_s = 0.0
-        if self.jobs == 1 or len(tasks) == 1:
-            # In-process: the parent's obs context is already live, so
-            # shards span directly onto it (no hand-back round trip).
-            parts = []
-            for task in tasks:
-                with obs.tracer.span(stage + ".shard", **_task_attrs(task)):
-                    parts.append(fn(task))
-        else:
-            parts, busy_s = self._run_pool(fn, tasks, stage, obs,
-                                           result_dtype)
-        out = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        with obs.tracer.span(stage, samples=n_samples):
+            if self.jobs == 1 or len(tasks) == 1:
+                # In-process: the parent's obs context is already live, so
+                # shards span directly onto it (no hand-back round trip).
+                parts = []
+                for task in tasks:
+                    with obs.tracer.span(stage + ".shard",
+                                         **_task_attrs(task)):
+                        parts.append(fn(task))
+            else:
+                parts, busy_s = self._run_pool(fn, tasks, stage, obs,
+                                               result_dtype)
+            out = np.concatenate(parts) if len(parts) > 1 else parts[0]
         elapsed = time.perf_counter() - start
-        self._record(stage, elapsed, n_samples)
         metrics = obs.metrics
         metrics.counter("sampler.shards").inc(len(tasks))
         metrics.counter("sampler.samples").inc(n_samples)

@@ -44,8 +44,8 @@ from repro.obs.openmetrics import (
     parse_openmetrics,
     render_openmetrics,
 )
-from repro.obs.trace import NOOP_TRACER, Tracer
-from repro.runtime import Profiler, build_runtime
+from repro.obs.trace import NOOP_TRACER, SpanStats, Tracer
+from repro.runtime import build_runtime
 from repro.runtime.parallel import ParallelSampler
 
 SMALL_ARCH = dict(width=4, paths_per_lane=3, chain_length=5)
@@ -239,38 +239,140 @@ def test_worker_context_none_when_disabled():
     NOOP_OBS.merge_export({"spans": [], "metrics": {}})
 
 
-# -- profiler merge (cross-process hand-back) ---------------------------------
+# -- span aggregate merge (cross-process hand-back) ---------------------------
 
 
 def test_profiler_merge_round_trips_worker_snapshots():
-    parent = Profiler()
-    parent.record("experiment.fig4", 1.0, 10)
-    w1, w2 = Profiler(), Profiler()
-    w1.record("experiment.fig4", 0.5, 5)    # stage-name collision
-    w1.record("sampler.sample_chips", 2.0, 1000)
-    w2.record("sampler.sample_chips", 3.0, 2000)
+    parent = SpanStats()
+    parent.record("experiment.fig4", 1.0, 0.25, 10)
+    w1, w2 = SpanStats(), SpanStats()
+    w1.record("experiment.fig4", 0.5, 0.5, 5)    # stage-name collision
+    w1.record("sampler.sample_chips", 2.0, 2.0, 1000)
+    w2.record("sampler.sample_chips", 3.0, 1.0, 2000)
     parent.merge(w1.as_dict())
     parent.merge(w2.as_dict())
-    parent.merge(Profiler().as_dict())      # empty snapshot: no-op
+    parent.merge(SpanStats().as_dict())      # empty snapshot: no-op
     parent.merge({})
+    parent.merge(None)
     snap = parent.as_dict()
-    assert snap["experiment.fig4"] == {"calls": 2, "wall_s": 1.5,
-                                       "samples": 15}
-    assert snap["sampler.sample_chips"] == {"calls": 2, "wall_s": 5.0,
-                                            "samples": 3000}
+    assert snap["experiment.fig4"] == {"calls": 2, "inclusive_s": 1.5,
+                                       "self_s": 0.75, "samples": 15}
+    assert snap["sampler.sample_chips"] == {"calls": 2, "inclusive_s": 5.0,
+                                            "self_s": 3.0, "samples": 3000}
     # the snapshot itself survives a JSON round trip (the pool pickles it,
     # but JSON-compatibility keeps it manifest-ready)
-    rt = Profiler()
+    rt = SpanStats()
     rt.merge(json.loads(json.dumps(snap)))
     assert rt.as_dict() == snap
+
+
+def test_worker_export_carries_span_aggregate_without_trace():
+    obs = build_obs(metrics=True)
+    assert not obs.tracer.enabled          # no Chrome events kept
+    worker = Observability.for_worker(obs.worker_context("stage"))
+    with worker.tracer.span("remote", samples=7):
+        pass
+    snap = worker.export()
+    assert snap["spans"] == []
+    obs.merge_export(snap)
+    assert obs.tracer.stats.as_dict()["remote"]["samples"] == 7
+    assert obs.tracer.events() == []
+
+
+def _nested(tracer, pause_s):
+    import time
+    with tracer.span("outer"):
+        time.sleep(pause_s)
+        with tracer.span("inner"):
+            time.sleep(pause_s)
+
+
+def _check_self_time(stats, calls):
+    snap = stats.as_dict()
+    outer, inner = snap["outer"], snap["inner"]
+    assert outer["calls"] == inner["calls"] == calls
+    assert inner["self_s"] == pytest.approx(inner["inclusive_s"], abs=1e-6)
+    assert outer["self_s"] == pytest.approx(
+        outer["inclusive_s"] - inner["inclusive_s"], abs=1e-6)
+    assert outer["self_s"] > 0
+
+
+def test_span_aggregate_loses_no_update_under_thread_contention():
+    """Threads sharing one parent frame (a copied context) credit it and
+    the aggregate under contention without losing an update."""
+    import contextvars
+    import sys
+
+    tracer = Tracer(events=False)
+    n_threads, n_spans = 8, 200
+
+    def work():
+        for _ in range(n_spans):
+            with tracer.span("inner", samples=1):
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with tracer.span("outer"):
+            threads = [threading.Thread(
+                target=contextvars.copy_context().run, args=(work,))
+                for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    snap = tracer.stats.as_dict()
+    assert snap["inner"]["calls"] == snap["inner"]["samples"] == (
+        n_threads * n_spans)
+    assert snap["outer"]["self_s"] == pytest.approx(
+        snap["outer"]["inclusive_s"] - snap["inner"]["self_s"], abs=1e-6)
+
+
+def test_self_time_is_inclusive_minus_children_across_tasks_and_threads():
+    import asyncio
+
+    # Concurrent asyncio tasks: each task's ContextVar frames are its own,
+    # so interleaved spans never charge one task's child to another.
+    tracer = Tracer(events=False)
+
+    async def task(pause_s):
+        with tracer.span("outer"):
+            await asyncio.sleep(pause_s)
+            with tracer.span("inner"):
+                await asyncio.sleep(pause_s)
+
+    async def main():
+        await asyncio.gather(*(task(0.01 * (i + 1)) for i in range(3)))
+
+    asyncio.run(main())
+    _check_self_time(tracer.stats, calls=3)
+
+    # A second thread opens its spans while the main thread holds one
+    # open: the thread starts with no frames, so nothing leaks across.
+    tracer = Tracer()
+    with tracer.span("main"):
+        worker = threading.Thread(target=_nested, args=(tracer, 0.01))
+        worker.start()
+        worker.join()
+    _check_self_time(tracer.stats, calls=1)
+    snap = tracer.stats.as_dict()
+    assert snap["main"]["self_s"] == pytest.approx(
+        snap["main"]["inclusive_s"], abs=1e-6)
+    parents = {e["name"]: e["args"].get("parent_id")
+               for e in tracer.events()}
+    assert parents["outer"] is None
 
 
 # -- manifests ----------------------------------------------------------------
 
 
 def _tiny_manifest():
-    profiler = Profiler()
-    profiler.record("experiment.fig4", 0.25, 44)
+    stages = SpanStats()
+    stages.record("experiment.fig4", 0.25, 0.25, 44)
     metrics = MetricsRegistry()
     metrics.counter("quantile_cache.hits").inc(40)
     metrics.counter("quantile_cache.misses").inc(4)
@@ -278,7 +380,7 @@ def _tiny_manifest():
     state = {"path": "/tmp/q.json", "entries": 4, "bytes": 100}
     return build_manifest(
         targets=["fig4"], fast=True, jobs=2, root_seed=0,
-        profiler=profiler, metrics=metrics, cache_before=state,
+        stages=stages.as_dict(), metrics=metrics, cache_before=state,
         cache_after=dict(state, entries=8), elapsed_wall_s=1.5,
         trace_file="t.json")
 
@@ -298,7 +400,8 @@ def test_strip_timing_removes_only_wall_clock_fields():
     m = _tiny_manifest()
     bare = strip_timing(m)
     assert "timing" not in bare
-    assert "wall_s" not in bare["stages"]["experiment.fig4"]
+    assert "inclusive_s" not in bare["stages"]["experiment.fig4"]
+    assert "self_s" not in bare["stages"]["experiment.fig4"]
     assert bare["stages"]["experiment.fig4"]["calls"] == 1
     assert "worker_utilization" not in bare["metrics"]["gauges"]
     assert "timing" in m            # original untouched
@@ -464,21 +567,20 @@ def test_cli_without_obs_flags_writes_nothing(tmp_path, monkeypatch, capsys):
 
 def test_run_remote_skips_collection_when_parent_did_not_ask():
     get_analyzer.cache_clear()
-    eid, rendered, elapsed, profile, obs_snap = _run_remote(
-        ("fig4", True, {"profile": False, "trace": False,
-                        "metrics": False}))
+    eid, rendered, elapsed, obs_snap = _run_remote(
+        ("fig4", True, NOOP_OBS.worker_context()))
     assert eid == "fig4" and "fig4" in rendered
-    assert profile == {} and obs_snap == {}
+    assert obs_snap == {}
 
 
 def test_run_remote_collects_when_parent_profiles():
     get_analyzer.cache_clear()
-    eid, rendered, elapsed, profile, obs_snap = _run_remote(
-        ("fig4", True, {"profile": True, "trace": False,
-                        "metrics": False}))
+    # --profile builds a metrics-only context: spans aggregate, no trace
+    ctx = build_runtime(metrics=True).obs.worker_context()
+    eid, rendered, elapsed, obs_snap = _run_remote(("fig4", True, ctx))
+    profile = obs_snap["stats"]
     assert "experiment.fig4" in profile
     assert profile["experiment.fig4"]["calls"] == 1
-    # --profile implies the metrics registry
     assert obs_snap["metrics"]["counters"]
     assert obs_snap["spans"] == []
 
@@ -486,8 +588,11 @@ def test_run_remote_collects_when_parent_profiles():
 def test_build_runtime_wires_obs_modes():
     rt = build_runtime()
     assert rt.obs is NOOP_OBS
-    rt = build_runtime(profile=True)
+    rt = build_runtime(metrics=True)         # --profile / --metrics
     assert rt.obs.metrics.enabled and not rt.obs.tracer.enabled
+    with rt.obs.tracer.span("s", samples=3):
+        pass
+    assert rt.obs.tracer.stats.as_dict()["s"]["samples"] == 3
     rt = build_runtime(trace=True)
     assert rt.obs.tracer.enabled and rt.obs.metrics.enabled
     rt.close()
@@ -742,7 +847,7 @@ def test_manifest_attaches_flight_snapshot():
     state = {"path": "/tmp/q.json", "entries": 0, "bytes": 0}
     m = build_manifest(
         targets=["serve"], fast=False, jobs=1, root_seed=0,
-        profiler=Profiler(), metrics=MetricsRegistry(),
+        stages=SpanStats().as_dict(), metrics=MetricsRegistry(),
         cache_before=state, cache_after=state, elapsed_wall_s=0.1,
         flight=fr.snapshot())
     assert validate_schema(m, MANIFEST_SCHEMA) == []

@@ -441,7 +441,7 @@ def test_manifest_embeds_resilience_ledger():
     ledger.record("pool_respawn", stage="s", reason="worker_crash",
                   respawn=1, reassigned=[0, 1])
     manifest = build_manifest(
-        targets=["fig4"], fast=True, jobs=2, root_seed=0, profiler=None,
+        targets=["fig4"], fast=True, jobs=2, root_seed=0, stages=None,
         metrics=None, cache_before={"path": "p", "entries": 0, "bytes": 0},
         cache_after={"path": "p", "entries": 0, "bytes": 0},
         elapsed_wall_s=1.0, resilience=ledger.as_dict(),
@@ -451,7 +451,7 @@ def test_manifest_embeds_resilience_ledger():
     assert manifest["resilience"]["counts"] == {"pool_respawn": 1}
     # A fault-free manifest still carries an (empty) resilience section.
     clean = build_manifest(
-        targets=["fig4"], fast=True, jobs=1, root_seed=0, profiler=None,
+        targets=["fig4"], fast=True, jobs=1, root_seed=0, stages=None,
         metrics=None, cache_before={"path": "p", "entries": 0, "bytes": 0},
         cache_after={"path": "p", "entries": 0, "bytes": 0},
         elapsed_wall_s=1.0)

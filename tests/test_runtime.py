@@ -1,4 +1,4 @@
-"""Parallel sharded runtime: determinism, persistent cache, profiling."""
+"""Parallel sharded runtime: determinism, persistent cache, span profile."""
 
 import time
 
@@ -8,9 +8,10 @@ import pytest
 from repro.core.analyzer import VariationAnalyzer
 from repro.devices.technology import get_technology
 from repro.errors import ConfigurationError
+from repro.obs.api import activate_obs, build_obs
+from repro.obs.trace import SpanStats
 from repro.runtime import (
     ParallelSampler,
-    Profiler,
     QuantileCache,
     ReproRuntime,
     activate_runtime,
@@ -95,30 +96,35 @@ def test_root_seed_and_shard_size_key_the_stream(tech90):
 
 
 def test_sampler_records_profile_stages(tech90):
-    profiler = Profiler()
-    with ParallelSampler(1, profiler=profiler) as s:
+    obs = build_obs(metrics=True)
+    with activate_obs(obs), ParallelSampler(1) as s:
         s.system_delays(tech90, 0.6, n_chips=100, root_seed=0, **SMALL_ARCH)
-    stages = {st.name: st for st in profiler.stages()}
-    assert stages["sampler.system_delays"].calls == 1
-    assert stages["sampler.system_delays"].samples == 100
-    assert "sampler.system_delays" in profiler.render()
+    stages = obs.tracer.stats.as_dict()
+    assert stages["sampler.system_delays"]["calls"] == 1
+    assert stages["sampler.system_delays"]["samples"] == 100
+    assert "sampler.system_delays" in obs.tracer.stats.render()
 
 
-# -- profiler -----------------------------------------------------------------
+# -- span profile --------------------------------------------------------------
 
 
 def test_profiler_merge_roundtrip():
-    a = Profiler()
-    a.record("solve", 1.5, 10)
-    b = Profiler()
-    b.record("solve", 0.5, 5)
-    b.record("sample", 2.0, 100)
+    """The span aggregate's worker merge adds calls, times and samples."""
+    a = SpanStats()
+    a.record("solve", 1.5, 1.5, 10)
+    b = SpanStats()
+    b.record("solve", 0.5, 0.5, 5)
+    b.record("sample", 2.0, 2.0, 100)
     a.merge(b.as_dict())
-    stages = {s.name: s for s in a.stages()}
-    assert stages["solve"].calls == 2
-    assert stages["solve"].wall_s == pytest.approx(2.0)
-    assert stages["solve"].samples == 15
-    assert stages["sample"].samples_per_s == pytest.approx(50.0)
+    stages = a.as_dict()
+    assert stages["solve"]["calls"] == 2
+    assert stages["solve"]["inclusive_s"] == pytest.approx(2.0)
+    assert stages["solve"]["self_s"] == pytest.approx(2.0)
+    assert stages["solve"]["samples"] == 15
+    # samples/s is samples over inclusive time: 100 / 2.0 s
+    row = next(line for line in a.render().splitlines()
+               if line.startswith("sample "))
+    assert row.split()[-1] == "50"
 
 
 # -- persistent quantile cache -------------------------------------------------
@@ -237,7 +243,7 @@ def test_runtime_activation_scoped():
 def test_chip_distribution_shards_through_active_runtime():
     analyzer = VariationAnalyzer("90nm", width=16, paths_per_lane=10,
                                  chain_length=20)
-    runtime = build_runtime(jobs=2)
+    runtime = build_runtime(jobs=2, metrics=True)
     try:
         with activate_runtime(runtime):
             dist = analyzer.chip_distribution(0.6, n_samples=600, seed=9)
@@ -249,7 +255,7 @@ def test_chip_distribution_shards_through_active_runtime():
                                        width=16, paths_per_lane=10,
                                        chain_length=20, root_seed=9)
     np.testing.assert_array_equal(dist.samples, expected)
-    stages = {s.name for s in runtime.profiler.stages()}
+    stages = runtime.obs.tracer.stats.as_dict()
     assert "sampler.sample_chips" in stages
 
 

@@ -545,23 +545,45 @@ def test_serve_chaos_worker_crash_bit_identical(fresh_cache):
 # -- CLI -----------------------------------------------------------------------
 
 
-def test_serve_cli_validates_flags():
+def _experiments_serve(argv):
     from repro.experiments.__main__ import main as cli_main
-    assert cli_main(["serve", "--port", "70000"]) == 2
-    assert cli_main(["serve", "--max-batch", "0"]) == 2
-    assert cli_main(["serve", "--jobs", "0"]) == 2
-    assert cli_main(["serve", "--drain-timeout-s", "0"]) == 2
+    return cli_main(["serve", *argv])
 
 
-def test_serve_module_cli_validates_flags():
+def _serve_module(argv):
     from repro.serve.__main__ import main as serve_main
-    assert serve_main(["--max-queue", "0"]) == 2
-    assert serve_main(["--slo-availability", "1.5"]) == 2
-    assert serve_main(["--window-s", "0"]) == 2
-    assert serve_main(["--flight-capacity", "-1"]) == 2
-    assert serve_main(["--degraded-ratio", "0"]) == 2
-    assert serve_main(["--degraded-ratio", "1.5"]) == 2
-    assert serve_main(["--drain-timeout-s", "0"]) == 2
+    return serve_main(argv)
+
+
+def _outcome(entry, argv):
+    """``("return", rc)`` after parsing, ``("exit", code)`` on a parse error."""
+    try:
+        return ("return", entry(argv))
+    except SystemExit as exc:
+        return ("exit", exc.code)
+
+
+#: Invalid serve invocations: each is parsed, then rejected with exit 2.
+_REJECTED = [
+    ["--port", "70000"], ["--max-batch", "0"], ["--jobs", "0"],
+    ["--drain-timeout-s", "0"], ["--max-queue", "0"],
+    ["--slo-availability", "1.5"], ["--window-s", "0"],
+    ["--flight-capacity", "-1"], ["--degraded-ratio", "0"],
+    ["--degraded-ratio", "1.5"],
+    # run flags the serve alias once lacked
+    ["--shard-timeout", "0"], ["--max-retries", "-1"],
+    ["--profile", "--port", "70000"],
+]
+
+
+@pytest.mark.parametrize("entry", [_experiments_serve, _serve_module],
+                         ids=["experiments", "serve"])
+def test_serve_cli_validates_flags(entry):
+    """Both serve entry points share one flag set and one validation."""
+    for argv in _REJECTED:
+        assert _outcome(entry, argv) == ("return", 2), argv
+    # an unknown dtype policy is an argparse error on both entry points
+    assert _outcome(entry, ["--mc-precision", "bogus"]) == ("exit", 2)
 
 
 # -- telemetry: tracing, rolling metrics, flight recorder ----------------------
