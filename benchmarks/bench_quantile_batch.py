@@ -1,13 +1,17 @@
-"""Benchmark: batched vs scalar deterministic quantile sweeps.
+"""Benchmark: the batch quantile solver vs per-point Brent sweeps.
 
 Times a fig4-style sign-off sweep (q = 0.99, no spares, supply points
 from the near-threshold floor up to nominal) on every technology card,
-once through the scalar ``chip_quantile`` loop and once through the
-batched ``chip_quantile_batch`` solver, with the persistent disk cache
-disabled so both sides pay their true solve cost.  Results — per-node
-timings, speedups and batch-vs-scalar parity — are written to
+once as a loop of Brent solves over ``chip_cdf`` (the engine's reference
+solver, ``_brent_quantile``) and once through the batched
+``chip_quantile_batch`` solver, with the persistent disk cache disabled
+so both sides pay their true solve cost.  Results — per-node timings,
+speedups and batch-vs-Brent parity — are written to
 ``BENCH_quantile.json`` at the repository root so the performance
 trajectory is tracked across PRs.
+
+The batch roots must match Brent to ``PARITY_RTOL`` on every node; the
+process exits non-zero otherwise (CI gates on this).
 
 Run directly::
 
@@ -44,6 +48,8 @@ from repro.devices.technology import (                       # noqa: E402
 PRIMARY_NODE = "22nm"
 Q = 0.99
 SPARES = 0.0
+#: Largest batch-vs-Brent relative difference accepted on any node.
+PARITY_RTOL = 1e-10
 
 
 def sweep_voltages(tech, n_points: int) -> np.ndarray:
@@ -63,7 +69,7 @@ def bench_node(node: str, n_points: int, repeats: int) -> dict:
         # builds, neither inherits the other's LRU state.
         eng = ChipDelayEngine(tech)
         t0 = time.perf_counter()
-        scalar = np.array([eng.chip_quantile(v, Q, spares=SPARES)
+        scalar = np.array([eng._brent_quantile(v, Q, SPARES)
                            for v in vdds])
         scalar_s.append(time.perf_counter() - t0)
 
@@ -130,6 +136,11 @@ def main(argv=None) -> int:
     print(f"\nwrote {args.output} "
           f"(primary {PRIMARY_NODE}: {primary['speedup']:.2f}x, "
           f"parity {primary['parity_rtol']:.1e})")
+    drift = [n for n, r in nodes.items() if r["parity_rtol"] > PARITY_RTOL]
+    if drift:
+        print(f"ERROR: batch/Brent parity above {PARITY_RTOL:g} on "
+              f"{', '.join(drift)}", file=sys.stderr)
+        return 1
     return 0
 
 

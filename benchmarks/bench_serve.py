@@ -11,7 +11,7 @@ unique sweep points over keep-alive HTTP connections.
 Three things are checked, mirroring the serving layer's contract:
 
 * **parity** — every value returned (via ``values_hex``) is bit-identical
-  to a direct in-process ``chip_quantile_batch(..., cluster=False)``;
+  to a direct in-process ``chip_quantile_batch(...)``;
 * **coalescing** — the ``serve.batch_size`` histogram shows multi-point
   batches in the coalesced phase;
 * **throughput** — in full mode, coalesced points/s must be >= 3x the
@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     # Parity: every served value must be bit-identical to a direct
     # in-process invariant batch solve of the same points.
     engine = ChipDelayEngine(get_technology(NODE), **ARCH)
-    direct = engine.chip_quantile_batch(grid, Q, SPARES, cluster=False)
+    direct = engine.chip_quantile_batch(grid, Q, SPARES)
     mismatches = 0
     for phase in phases.values():
         for v, expect in zip(grid.tolist(), direct.tolist()):

@@ -57,12 +57,12 @@ FAULT_SPEC = ("conn_reset:0,slow_read:3,partial_write:4,"
 
 
 def reference_hexes() -> list:
-    """Clean in-process bits: scalar rescue for the poisoned first
-    point, invariant batch for the rest."""
+    """Clean in-process bits: Brent rescue for the poisoned first point,
+    the batch solver for the rest."""
     engine = ChipDelayEngine(get_technology("22nm"), **ARCH)
-    expected = [float(engine.chip_quantile(VDDS[0], 0.99, 0.0)).hex()]
+    expected = [engine._brent_quantile(VDDS[0], 0.99, 0.0).hex()]
     batch = engine.chip_quantile_batch(
-        np.asarray(VDDS[1:], dtype=float), 0.99, 0.0, cluster=False)
+        np.asarray(VDDS[1:], dtype=float), 0.99, 0.0)
     return expected + [float(v).hex() for v in np.atleast_1d(batch)]
 
 

@@ -151,19 +151,18 @@ class VariationAnalyzer:
             raise ConfigurationError(
                 f"spares must be finite and >= 0, got {spares}")
 
-    def _point_key(self, vdd, spares, q, invariant: bool = False):
-        """In-process memo key ``(vdd, spares, q, solver)`` for one point.
+    def _point_key(self, vdd, spares, q):
+        """In-process memo key ``(vdd, spares, q)`` for one point.
 
         Spares are keyed on the *rounded float* (not ``int``): the engine
         supports fractional sparing, and truncation would silently collide
-        ``spares=1.5`` with ``spares=1`` in both cache layers.  ``solver``
-        keeps the batch-composition-invariant solver's answers apart from
-        the scalar and clustered ones, which can differ in the last bits:
-        an invariant query must never be served another solver's value.
+        ``spares=1.5`` with ``spares=1`` in both cache layers.  The key
+        names no solver: the engine has one per card, and the disk key's
+        card fingerprint already names the card.
         """
         q_eff = self.signoff_quantile if q is None else float(q)
         return (round(float(vdd), 9), round(float(spares), 9),
-                round(q_eff, 12), "invariant" if invariant else "default")
+                round(q_eff, 12))
 
     def _disk_key(self, key) -> str:
         """The persistent-cache key for an in-process ``_point_key``."""
@@ -175,7 +174,7 @@ class VariationAnalyzer:
             quad_within=engine.quad_within,
             quad_corr_vth=engine.quad_corr_vth,
             quad_corr_mult=engine.quad_corr_mult,
-            vdd=key[0], q=key[2], spares=key[1], solver=key[3])
+            vdd=key[0], q=key[2], spares=key[1])
 
     def chip_quantile(self, vdd, spares: float = 0, q: float | None = None) -> float:
         """Deterministic chip-delay quantile in seconds.
@@ -204,20 +203,16 @@ class VariationAnalyzer:
         self._signoff_cache[key] = value
         return value
 
-    def _solve_batch(self, solve_keys, *, invariant: bool = False) -> np.ndarray:
+    def _solve_batch(self, solve_keys) -> np.ndarray:
         """Solve uncached ``(vdd, spares, q)`` points in one batch.
 
         When a parallel runtime is active and the batch is big enough,
-        the solve goes through
-        :meth:`~repro.runtime.parallel.ParallelSampler.solve_quantiles`
-        *regardless of the worker count*: the fixed-size chunk partition
-        is part of the solver's reproducibility key, so routing through
-        the sampler even at ``jobs=1`` keeps a serial baseline
-        bit-identical to a pooled (or chaos-recovered) run.  Without a
-        runtime the solve runs as one in-process batch.  Both paths
-        polish every root to the solver's ~1e-12 relative tolerance, and
-        a pool whose recovery ladder is exhausted falls back to the
-        in-process batch (the solve is deterministic either way).
+        the solve fans out through
+        :meth:`~repro.runtime.parallel.ParallelSampler.solve_quantiles`;
+        otherwise it runs as one in-process batch.  Every root is a pure
+        function of its own point, so both paths return the same bits,
+        and a pool whose recovery ladder is exhausted falls back to the
+        in-process batch.
         """
         vdds = np.array([k[0] for k in solve_keys])
         qs = np.array([k[2] for k in solve_keys])
@@ -233,8 +228,7 @@ class VariationAnalyzer:
                     paths_per_lane=engine.paths_per_lane,
                     chain_length=engine.chain_length,
                     quads=(engine.quad_within, engine.quad_corr_vth,
-                           engine.quad_corr_mult),
-                    cluster=not invariant)
+                           engine.quad_corr_mult))
             except ShardExecutionError as exc:
                 # The pool's recovery ladder is exhausted; the solve is
                 # deterministic either way, so finish it in-process.
@@ -242,11 +236,9 @@ class VariationAnalyzer:
                 current_ledger().record("analyzer_pool_solve_failed",
                                         shards=list(exc.shards),
                                         points=len(solve_keys))
-        return np.atleast_1d(engine.chip_quantile_batch(
-            vdds, qs, sps, cluster=not invariant))
+        return np.atleast_1d(engine.chip_quantile_batch(vdds, qs, sps))
 
-    def chip_quantiles(self, vdd, spares: float = 0, q=None, *,
-                       invariant: bool = False) -> np.ndarray:
+    def chip_quantiles(self, vdd, spares: float = 0, q=None) -> np.ndarray:
         """Batched deterministic chip-delay quantiles (seconds).
 
         ``vdd``, ``spares`` and ``q`` broadcast together; the result has
@@ -256,14 +248,11 @@ class VariationAnalyzer:
         lookup — and every remaining miss is solved in a single
         :meth:`ChipDelayEngine.chip_quantile_batch` call, so partial hits
         only pay for the points that are genuinely new.  Values agree
-        bit-for-bit with what :meth:`chip_quantile` caches.
-
-        ``invariant=True`` solves misses with the engine's
-        batch-composition-invariant mode (``cluster=False``): each root is
-        then a pure function of its own query point, so any grouping of
-        the same queries — across calls, clients, or chunk boundaries —
-        returns bit-identical values.  The serving dispatcher coalesces
-        unrelated clients' queries under this mode.
+        bit-for-bit with :meth:`chip_quantile`, whichever entry point
+        solved a point first: each root is a pure function of its own
+        query point, so any grouping of the same queries — across calls,
+        clients, or chunk boundaries — returns bit-identical values.  The
+        serving dispatcher coalesces unrelated clients' queries on this.
         """
         q_eff = self.signoff_quantile if q is None else q
         vdd_b, sp_b, q_b = np.broadcast_arrays(
@@ -271,7 +260,7 @@ class VariationAnalyzer:
             np.asarray(q_eff, dtype=float))
         shape = vdd_b.shape
         self._validate_point(vdd_b, q_b, sp_b)
-        keys = [self._point_key(v, s, qq, invariant) for v, s, qq in
+        keys = [self._point_key(v, s, qq) for v, s, qq in
                 zip(vdd_b.ravel(), sp_b.ravel(), q_b.ravel())]
         out = np.empty(len(keys))
         missing: dict = {}          # unique missed key -> output positions
@@ -292,7 +281,7 @@ class VariationAnalyzer:
                 with _obs_span("analyzer.quantile_solve_batch",
                                samples=len(solve_keys)):
                     values = np.atleast_1d(
-                        self._solve_batch(solve_keys, invariant=invariant))
+                        self._solve_batch(solve_keys))
                 solved = dict(zip(solve_keys, (float(v) for v in values)))
                 self.quantile_cache.put_many(
                     (self._disk_key(k), v) for k, v in solved.items())

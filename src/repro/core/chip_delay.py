@@ -18,22 +18,26 @@ treats the within-die scale analytically (path cumulants + Cornish-Fisher).
 
 Two evaluation styles are provided:
 
-* **Deterministic** CDF/quantile (:meth:`ChipDelayEngine.chip_cdf`,
-  :meth:`ChipDelayEngine.chip_quantile`): noise-free, so millivolt-scale
-  voltage-margin searches are well posed, and fractional spare counts are
-  supported through the regularised-incomplete-beta order-statistic form.
+* **Deterministic** CDF (:meth:`ChipDelayEngine.chip_cdf`): noise-free,
+  so millivolt-scale voltage-margin searches are well posed, and
+  fractional spare counts are supported through the
+  regularised-incomplete-beta order-statistic form.
   Every CDF evaluation runs on a per-``vdd`` *conditioned kernel* — the
   path moments at the (die x lane) threshold-offset grid plus the
   multiplicative scale/weight tensors — held in a bounded LRU cache, so
   repeated evaluations at one supply point pay only the broadcasted
   Cornish-Fisher inversion and two weighted contractions.
-* **Batched** quantile solving (:meth:`ChipDelayEngine.chip_quantile_batch`):
-  solves many ``(vdd, q, spares)`` query points simultaneously — kernels
-  for all distinct supply points are built in one vectorized pass, a
-  cheap low-order-quadrature presolve brackets every root tightly, and a
-  vectorized Chandrupatla (inverse-quadratic/bisection hybrid) iteration
-  polishes all roots at full quadrature order in a handful of batched
-  CDF sweeps.
+* **Batched** quantile solving (:meth:`ChipDelayEngine.chip_quantile_batch`),
+  the one quantile solver: it solves many ``(vdd, q, spares)`` query
+  points simultaneously — kernels for all distinct supply points are
+  built in one vectorized pass, a cheap low-order-quadrature presolve
+  brackets every root, a masked secant iteration polishes all roots at
+  full quadrature order, and a vectorized Chandrupatla
+  (inverse-quadratic/bisection hybrid) iteration catches any point the
+  secant rejects.  Every reduction runs row by row (``einsum``), so each
+  root is a pure function of its own point: the batch, its order and its
+  chunking never change a bit, and :meth:`ChipDelayEngine.chip_quantile`
+  is a one-point call of the same solver.
 * **Sampling** (:meth:`ChipDelayEngine.sample_chips` and friends): draws
   ensembles for the paper's histogram figures via inverse-transform
   sampling — equivalent to per-gate Monte-Carlo up to the Edgeworth
@@ -46,7 +50,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 from scipy.special import betainc, log_ndtr, ndtri
 
@@ -81,13 +84,6 @@ __all__ = [
 #: KB each; voltage sweeps touch tens of supply points, not thousands).
 _KERNEL_CACHE_SIZE = 256
 
-#: Batched-solver tuning.  Query points sharing (q, spares) and differing
-#: only in vdd form a *sweep cluster*: every ``_ANCHOR_STRIDE``-th member is
-#: solved from scratch and the rest start from a log-space cubic spline of
-#: the anchor roots (the quantile-vs-vdd curve is smooth, so the spline is
-#: accurate to ~1e-4 relative — 2-3 secant sweeps from convergence).
-_ANCHOR_STRIDE = 3
-_CLUSTER_MIN = 8
 #: Secant acceptance: the extrapolated iterate's error is ~ C * d_k * d_{k-1}
 #: (relative step sizes) with C = |F''/2F'| * root under ~50 for every
 #: calibrated card; 200 adds a 4x safety factor.
@@ -284,36 +280,6 @@ def _expand_bracket(f, lo, hi, flo, fhi):
         raise ConvergenceError("could not bracket the chip-delay quantile")
 
 
-def _clusters(vdds, qs, sps):
-    """Partition query points into anchors and spline-seeded sweep members.
-
-    Points sharing ``(q, spares)`` with at least ``_CLUSTER_MIN`` distinct
-    supply voltages form a cluster; every ``_ANCHOR_STRIDE``-th member (plus
-    the endpoints) is an *anchor*.  Returns ``(anchors, jobs)`` where each
-    job is ``(anchor_indices, member_indices)`` ordered by vdd.
-    """
-    groups: dict = {}
-    for i, (q, s) in enumerate(zip(qs, sps)):
-        groups.setdefault((q, s), []).append(i)
-    anchors: list = []
-    jobs = []
-    for members in groups.values():
-        if len(members) < _CLUSTER_MIN:
-            anchors.extend(members)
-            continue
-        members = sorted(members, key=lambda i: vdds[i])
-        picked = sorted(set(range(0, len(members), _ANCHOR_STRIDE))
-                        | {len(members) - 1})
-        picked_set = set(picked)
-        anchors.extend(members[i] for i in picked)
-        jobs.append((
-            np.array([members[i] for i in picked]),
-            np.array([members[i] for i in range(len(members))
-                      if i not in picked_set]),
-        ))
-    return np.array(sorted(anchors), dtype=int), jobs
-
-
 class _PointsEval:
     """Batched chip-CDF evaluator for a fixed set of heterogeneous points.
 
@@ -321,17 +287,21 @@ class _PointsEval:
     sweep over the ``(N, J, K, A, B)`` tensor spends the minimum number of
     elementwise passes: the Cornish-Fisher z-argument is the affine map
     ``w = x * t1 - t0`` of the query delay, the citardauq discriminant one
-    multiply-add, and both quadrature contractions are BLAS matvecs.  The
-    citardauq inversion is applied unconditionally (exact as the skew
+    multiply-add, and both quadrature contractions are row-wise ``einsum``
+    reductions.  BLAS matvec kernels pick different reduction orders for
+    different row counts, so ``flat @ lane_w`` would make a point's root
+    depend on which other points share the evaluation; ``einsum`` reduces
+    each row with a fixed-order loop over the (constant) column count, so
+    every root is a pure function of its own point.  The citardauq
+    inversion is applied unconditionally (exact as the skew
     coefficient -> 0) and the max-of-P-paths power uses the
     ``exp(P * log_ndtr)`` fusion.
     """
 
     __slots__ = ("width", "paths", "t1", "t0", "a4", "w_lo", "w_hi",
-                 "lane_w", "die_w", "qs", "sps", "invariant")
+                 "lane_w", "die_w", "qs", "sps")
 
-    def __init__(self, engine, level, mean, std, a6, qs, sps, *,
-                 invariant: bool = False):
+    def __init__(self, engine, level, mean, std, a6, qs, sps):
         inv_s = 1.0 / std                                    # (N, J, A)
         self.t1 = (inv_s[:, :, None, :, None]
                    / level.scale[None, None, :, None, :])
@@ -343,7 +313,6 @@ class _PointsEval:
         self.paths = engine.paths_per_lane
         self.qs = qs
         self.sps = sps
-        self.invariant = bool(invariant)
         # Saturation thresholds: outside [z_lo, z_hi] the max-of-P-paths CDF
         # Phi(z)^P is 0 or 1 to <1e-15 absolute, so only the (typically
         # 10-30 %) in-band elements pay the log-ndtr call.  Mapped to the
@@ -382,17 +351,7 @@ class _PointsEval:
         f_lane[mid] = np.exp(lf, out=lf)
         n, j, k, a, b = f_lane.shape
         flat = f_lane.reshape(n * j * k, a * b)
-        if self.invariant:
-            # BLAS matvec kernels pick different reduction orders for
-            # different row counts, so `flat @ lane_w` is not row-wise
-            # bit-stable — a point's root would depend on which other
-            # points share the evaluation.  einsum reduces each row with
-            # a fixed-order loop over the (constant) column count, making
-            # every root a pure function of its own point regardless of
-            # batch composition (the serving dispatcher's contract).
-            g_lane = np.einsum("rc,c->r", flat, self.lane_w)
-        else:
-            g_lane = flat @ self.lane_w
+        g_lane = np.einsum("rc,c->r", flat, self.lane_w)
         np.clip(g_lane, 0.0, 1.0, out=g_lane)
         g_lane = g_lane.reshape(n, j * k)
         sp = self.sps[idx]
@@ -406,9 +365,7 @@ class _PointsEval:
             f_chip[zero] = g_lane[zero] ** self.width
             nz = ~zero
             f_chip[nz] = betainc(self.width, sp[nz, None] + 1.0, g_lane[nz])
-        if self.invariant:
-            return np.einsum("rc,c->r", f_chip, self.die_w)
-        return f_chip @ self.die_w
+        return np.einsum("rc,c->r", f_chip, self.die_w)
 
     def objective(self, x, idx):
         """CDF minus target quantile (the root-finding residual)."""
@@ -473,6 +430,13 @@ class ChipDelayEngine:
         self.kernel_hits = 0
         self.kernel_misses = 0
         self.kernel_evictions = 0
+        # Without gate-level variation the path std is ~1e-21 s, so the
+        # chip CDF is a step function of the correlated quadrature nodes.
+        # The batch evaluator and `chip_cdf` place each jump ~1e-8 apart
+        # (relative), so such cards take their roots from Brent over
+        # `chip_cdf`, the reference CDF.
+        self._step_card = (var.sigma_vth_wid == 0.0
+                           and var.sigma_mult_rand == 0.0)
 
     # -- internals -----------------------------------------------------------
 
@@ -572,9 +536,14 @@ class ChipDelayEngine:
         """Path moments conditioned on a correlated (lane+die) Vth offset."""
         return self._offset_moments(float(vdd))(corr_dvth)
 
-    def _check_spares(self, spares) -> None:
-        if spares < 0:
-            raise ConfigurationError(f"spares must be >= 0, got {spares}")
+    @staticmethod
+    def _check_spares(spares) -> None:
+        """Reject negative or non-finite spare counts (scalar or array)."""
+        bad = ~(np.isfinite(spares) & (np.asarray(spares) >= 0.0))
+        if bad.any():
+            raise ConfigurationError(
+                "spares must be finite and >= 0, "
+                f"got {np.extract(bad, spares)[0]}")
 
     def _effective_lanes(self, spares) -> int:
         self._check_spares(spares)
@@ -621,21 +590,20 @@ class ChipDelayEngine:
         out = np.einsum("jkx,jk->x", f_chip, level.die_w)
         return out[0] if x.ndim == 0 else out.reshape(x.shape)
 
-    def _secant_polish(self, ev, x0, slope, gidx=None, maxiter: int = 10):
+    def _secant_polish(self, ev, x0, slope, maxiter: int = 10):
         """Masked vectorized secant iteration at full quadrature order.
 
         ``x0`` are starting guesses (already within ~1e-2 relative of the
         roots), ``slope`` an approximate CDF derivative for the first
-        Newton step.  ``gidx`` maps the local points onto ``ev``'s point
-        axis (defaults to all points, in order).  A point is *accepted* at
-        the extrapolated iterate once the secant error model
-        ``C * d_k * d_{k-1}`` drops below tolerance; points whose steps
-        stop contracting are left to the bracketing fallback.  Returns
+        Newton step.  A point is *accepted* at the extrapolated iterate
+        once the secant error model ``C * d_k * d_{k-1}`` drops below
+        tolerance; points whose steps stop contracting are left to the
+        bracketing fallback.  Returns
         ``(root, done, last_iterate, last_step, rounds)`` where ``rounds``
         is the number of secant sweeps executed (for the solver metrics).
         """
         n = x0.size
-        all_idx = np.arange(n) if gidx is None else gidx
+        all_idx = np.arange(n)
         f0 = ev.objective(x0, all_idx)
         root = x0.copy()
         done = f0 == 0.0
@@ -683,106 +651,64 @@ class ChipDelayEngine:
             d_last[ci] = d_new[cont]
         return root, done, x_cur, d_last, rounds
 
-    def _solve_points(self, keys, qs, sps, *, cluster: bool = True):
+    def _solve_points(self, keys, qs, sps):
         """Solve all ``(vdd-key, q, spares)`` points of one chunk at once.
 
-        Anchor points (every ``_ANCHOR_STRIDE``-th member of a voltage
-        sweep, plus all non-sweep points) are presolved on the coarse
-        quadrature level and polished at full order *first*; the remaining
-        sweep members then start from a log-space cubic spline through the
-        fully-converged anchor roots.  Splining the fine roots (rather
-        than the coarse presolve values) matters at the high-variation
-        nodes, where the coarse quadrature's model bias is ~1e-2: the bias
-        is smooth in ``vdd``, so the spline absorbs it and members land
-        within ~1e-4, finishing in two to three secant rounds.  Any point
+        Every point is presolved on the coarse quadrature level, then
+        polished at full order by the masked secant iteration; any point
         the secant model rejects falls back to bracketed Chandrupatla
-        iteration.
-
-        ``cluster=False`` treats every point as its own anchor (no spline
-        seeding).  That trades a few extra secant rounds on dense sweeps
-        for *batch-composition invariance*: each root then depends only on
-        its own ``(vdd, q, spares)`` point, never on which other points
-        happen to share the chunk, so any grouping of the same queries
-        returns bit-identical values.
+        iteration.  All three stages act point by point, so each root
+        depends only on its own ``(vdd, q, spares)``, never on which other
+        points happen to share the chunk.
         """
         kernels = [self._kernel_cache[k] for k in keys]
-        n = len(kernels)
-        all_idx = np.arange(n)
-        vdds = np.array([k.vdd for k in kernels])
         ref = np.array([k.ref for k in kernels])
         fine = _PointsEval(self, self._fine,
                            np.stack([k.mean for k in kernels]),
                            np.stack([k.std for k in kernels]),
-                           np.stack([k.a6 for k in kernels]), qs, sps,
-                           invariant=not cluster)
+                           np.stack([k.a6 for k in kernels]), qs, sps)
         coarse = _PointsEval(self, self._coarse,
                              np.stack([k.coarse_mean for k in kernels]),
                              np.stack([k.coarse_std for k in kernels]),
                              np.stack([k.coarse_a6 for k in kernels]),
-                             qs, sps, invariant=not cluster)
+                             qs, sps)
 
-        if cluster:
-            anchors, jobs = _clusters(vdds, qs, sps)
-        else:
-            anchors, jobs = all_idx, []
-        _obs_counter("solver.anchor_points").inc(anchors.size)
-        _obs_counter("solver.spline_seeded").inc(n - anchors.size)
+        every = np.arange(ref.size)
+        lo = 0.4 * ref
+        hi = 1.6 * ref
+        flo = coarse.objective(lo, every)
+        fhi = coarse.objective(hi, every)
+        _expand_bracket(coarse.objective, lo, hi, flo, fhi)
+        x0 = _chandrupatla(coarse.objective, lo, hi, flo, fhi, rtol=1e-6)
 
-        def f_anchor(x, pos):
-            return coarse.objective(x, anchors[pos])
+        # First-step Newton slope from a coarse finite difference; the
+        # coarse pdf tracks the full-order pdf to ~20 %, good enough to
+        # shrink the starting error by ~5x before the secant takes over.
+        h = 1e-4 * x0
+        slope = (coarse.objective(x0 + h, every)
+                 - coarse.objective(x0, every)) / h
+        root, done, x_last, d_last, rounds = self._secant_polish(
+            fine, x0, slope)
+        _obs_counter("solver.secant_converged").inc(int(done.sum()))
+        _obs_histogram("solver.secant_rounds",
+                       buckets=(1, 2, 3, 5, 8, 13, 21)).observe(rounds)
+        if done.all():
+            return root
+        rest = np.flatnonzero(~done)
+        _obs_counter("solver.chandrupatla_fallback").inc(rest.size)
 
-        lo = 0.4 * ref[anchors]
-        hi = 1.6 * ref[anchors]
-        pos = np.arange(anchors.size)
-        flo = f_anchor(lo, pos)
-        fhi = f_anchor(hi, pos)
-        _expand_bracket(f_anchor, lo, hi, flo, fhi)
-        x0 = np.empty(n)
-        x0[anchors] = _chandrupatla(f_anchor, lo, hi, flo, fhi, rtol=1e-6)
-        root = np.empty(n)
+        def f_rest(x, pos):
+            return fine.objective(x, rest[pos])
 
-        def coarse_slope(sub):
-            # First-step Newton slope from a coarse finite difference; the
-            # coarse pdf tracks the full-order pdf to ~20 %, good enough
-            # to shrink the starting error by ~5x before the secant takes
-            # over.
-            h = 1e-4 * x0[sub]
-            fc0 = coarse.objective(x0[sub], sub)
-            fc1 = coarse.objective(x0[sub] + h, sub)
-            return (fc1 - fc0) / h
-
-        def polish(sub):
-            r, done, x_last, d_last, rounds = self._secant_polish(
-                fine, x0[sub], coarse_slope(sub), gidx=sub)
-            root[sub] = r
-            _obs_counter("solver.secant_converged").inc(int(done.sum()))
-            _obs_histogram("solver.secant_rounds",
-                           buckets=(1, 2, 3, 5, 8, 13, 21)).observe(rounds)
-            if done.all():
-                return
-            bad = np.flatnonzero(~done)
-            _obs_counter("solver.chandrupatla_fallback").inc(bad.size)
-            rest = sub[bad]
-
-            def f_rest(x, pos):
-                return fine.objective(x, rest[pos])
-
-            width = np.clip(8.0 * d_last[bad], 1e-3, 0.5)
-            center = np.where(x_last[bad] > 0.0, x_last[bad], x0[rest])
-            lo = center * (1.0 - width)
-            hi = center * (1.0 + width)
-            pos = np.arange(rest.size)
-            flo = f_rest(lo, pos)
-            fhi = f_rest(hi, pos)
-            _expand_bracket(f_rest, lo, hi, flo, fhi)
-            root[rest] = _chandrupatla(f_rest, lo, hi, flo, fhi, rtol=4e-13)
-
-        polish(anchors)
-        if jobs:
-            for a_i, m_i in jobs:
-                spline = CubicSpline(vdds[a_i], np.log(root[a_i]))
-                x0[m_i] = np.exp(spline(vdds[m_i]))
-            polish(np.concatenate([m_i for _, m_i in jobs]))
+        width = np.clip(8.0 * d_last[rest], 1e-3, 0.5)
+        center = np.where(x_last[rest] > 0.0, x_last[rest], x0[rest])
+        lo = center * (1.0 - width)
+        hi = center * (1.0 + width)
+        pos = np.arange(rest.size)
+        flo = f_rest(lo, pos)
+        fhi = f_rest(hi, pos)
+        _expand_bracket(f_rest, lo, hi, flo, fhi)
+        root[rest] = _chandrupatla(f_rest, lo, hi, flo, fhi, rtol=4e-13)
         return root
 
     def chip_quantile_batch(self, vdd, q=0.99, spares=0.0, *,
@@ -791,15 +717,17 @@ class ChipDelayEngine:
         """Quantiles of the chip delay for a batch of query points.
 
         ``vdd``, ``q`` and ``spares`` broadcast together; the result has
-        the broadcast shape (a scalar input returns a numpy scalar shape
-        ``()``).  All distinct supply points are kernelised in a single
-        vectorized pass and all roots are polished simultaneously; results
-        match the scalar :meth:`chip_quantile` to ~1e-12 relative.
+        the broadcast shape (a scalar input returns a plain float).  All
+        distinct supply points are kernelised in a single vectorized pass
+        and all roots are polished simultaneously; results match Brent
+        over :meth:`chip_cdf` to ~1e-12 relative.  Each root is a pure
+        function of its own point — bit-identical no matter how the
+        queries are batched, ordered or chunked (``chunk_size`` only
+        bounds the working set).  Cards without gate-level variation are
+        solved by Brent over :meth:`chip_cdf` (see ``_step_card``).
 
-        ``cluster=False`` disables the sweep spline seeding so each root
-        is a pure function of its own point — bit-identical no matter how
-        the queries are batched or chunked (the serving dispatcher relies
-        on this to coalesce queries from unrelated clients).
+        ``cluster`` is accepted and ignored, for callers that still pass
+        it.
         """
         vdd_b, q_b, sp_b = np.broadcast_arrays(
             np.asarray(vdd, dtype=float), np.asarray(q, dtype=float),
@@ -808,13 +736,19 @@ class ChipDelayEngine:
         vdds = vdd_b.ravel()
         qs = q_b.ravel().copy()
         sps = sp_b.ravel().copy()
-        if qs.size and not ((qs > 0.0) & (qs < 1.0)).all():
-            raise ConfigurationError("quantile must be in (0, 1)")
-        if sps.size and (sps < 0).any():
-            raise ConfigurationError("spares must be >= 0")
+        bad_vdd = ~(np.isfinite(vdds) & (vdds > 0.0))
+        if bad_vdd.any():
+            raise ConfigurationError(
+                "vdd must be finite and > 0 volts, "
+                f"got {vdds[bad_vdd][0]}")
+        bad_q = ~((qs > 0.0) & (qs < 1.0))
+        if bad_q.any():
+            raise ConfigurationError(
+                f"quantile must be in (0, 1), got {qs[bad_q][0]}")
+        self._check_spares(sps)
         # Solve each distinct (vdd, q, spares) point once and scatter the
-        # roots back — sweeps assembled from overlapping grids often repeat
-        # points, and the spline seeding needs distinct voltages anyway.
+        # roots back — sweeps assembled from overlapping grids often
+        # repeat points.
         with _obs_span("solver.batch", samples=int(vdds.size)):
             seen: dict = {}
             scatter = np.empty(vdds.size, dtype=int)
@@ -833,20 +767,27 @@ class ChipDelayEngine:
                 scatter[i] = j
             uq_arr = np.asarray(uq)
             usp_arr = np.asarray(usp)
-            self._ensure_kernels(ukeys)
             uout = np.empty(len(ukeys))
-            for start in range(0, len(ukeys), int(chunk_size)):
-                sl = slice(start, start + int(chunk_size))
-                try:
-                    uout[sl] = self._solve_points(ukeys[sl], uq_arr[sl],
-                                                  usp_arr[sl], cluster=cluster)
-                except (ConvergenceError, FloatingPointError) as exc:
-                    # Mark the whole chunk for the rescue ladder rather than
-                    # aborting a multi-chunk batch on one bad cluster.
-                    uout[sl] = np.nan
-                    current_ledger().record(
-                        "solver_chunk_failed", error=repr(exc),
-                        points=int(uout[sl].size))
+            if self._step_card:
+                for i, point in enumerate(zip(ukeys, uq, usp)):
+                    try:
+                        uout[i] = self._brent_quantile(*point)
+                    except (ConvergenceError, FloatingPointError):
+                        uout[i] = np.nan
+            else:
+                self._ensure_kernels(ukeys)
+                for start in range(0, len(ukeys), int(chunk_size)):
+                    sl = slice(start, start + int(chunk_size))
+                    try:
+                        uout[sl] = self._solve_points(
+                            ukeys[sl], uq_arr[sl], usp_arr[sl])
+                    except (ConvergenceError, FloatingPointError) as exc:
+                        # Mark the whole chunk for the rescue ladder rather
+                        # than aborting a multi-chunk batch on one bad point.
+                        uout[sl] = np.nan
+                        current_ledger().record(
+                            "solver_chunk_failed", error=repr(exc),
+                            points=int(uout[sl].size))
             self._inject_solver_nan(uout)
             bad = ~np.isfinite(uout) | (uout <= 0.0)
             if bad.any():
@@ -870,9 +811,9 @@ class ChipDelayEngine:
     def _rescue_points(self, uout, bad_idx, ukeys, uq_arr, usp_arr) -> None:
         """Recover non-finite batch roots point by point.
 
-        Fallback ladder per point: the scalar Brent reference solver
-        (bracketing is far more forgiving than the spline-seeded secant),
-        then a fixed-seed direct Monte-Carlo quantile estimate.  A point
+        Fallback ladder per point: Brent over :meth:`chip_cdf` (bracketing
+        is far more forgiving than the coarse-seeded secant), then a
+        fixed-seed direct Monte-Carlo quantile estimate.  A point
         that survives both raises :class:`SolverNumericalError` carrying
         its ``(vdd, q, spares)`` coordinates.
         """
@@ -882,7 +823,7 @@ class ChipDelayEngine:
             vdd, q, sp = float(ukeys[i]), float(uq_arr[i]), float(usp_arr[i])
             value = np.nan
             try:
-                value = self.chip_quantile(vdd, q, sp)
+                value = self._brent_quantile(vdd, q, sp)
             except (ConvergenceError, FloatingPointError):
                 pass
             if np.isfinite(value) and value > 0.0:
@@ -926,12 +867,18 @@ class ChipDelayEngine:
     def chip_quantile(self, vdd, q: float = 0.99, spares: float = 0) -> float:
         """The ``q`` quantile of the chip delay distribution, in seconds.
 
-        ``spares`` may be fractional (see :meth:`chip_cdf`).  Scalar
-        counterpart of :meth:`chip_quantile_batch`, kept as the reference
-        solver: Brent iteration over the kernel-backed :meth:`chip_cdf`.
+        ``spares`` may be fractional (see :meth:`chip_cdf`).  A one-point
+        :meth:`chip_quantile_batch` call: the same solver, the same bits.
         """
-        if not 0.0 < q < 1.0:
-            raise ConfigurationError(f"quantile must be in (0, 1), got {q}")
+        return self.chip_quantile_batch(float(vdd), float(q), float(spares))
+
+    def _brent_quantile(self, vdd: float, q: float, spares: float) -> float:
+        """Brent iteration over the kernel-backed :meth:`chip_cdf`.
+
+        The rescue ladder's first rung, the solver of step cards (see
+        ``_step_card``) and the parity reference for the batch solver.
+        The point is expected to be validated already.
+        """
         with _obs_span("solver.scalar"):
             _obs_counter("solver.scalar_solves").inc()
             vdd = float(vdd)

@@ -17,8 +17,9 @@ number is never paid for twice, across processes and across runs:
 * **Key** — technology node name + a fingerprint of the full calibrated
   card (so re-calibration invalidates old entries), the architecture
   (width / paths-per-lane / chain-length), the three quadrature orders,
-  the query point (vdd, q, spares) and the solver family that produced
-  the value.
+  the query point (vdd, q, spares).  The solver is a function of the
+  card (see :class:`~repro.core.chip_delay.ChipDelayEngine`), so the
+  fingerprint names it too.
 * **Exactness** — values are stored as ``float.hex()`` strings, so a cache
   hit returns the *exact bytes* of the original solve, not a decimal
   round-trip approximation.
@@ -282,21 +283,14 @@ class QuantileCache:
     @staticmethod
     def make_key(tech, *, width: int, paths_per_lane: int, chain_length: int,
                  quad_within: int, quad_corr_vth: int, quad_corr_mult: int,
-                 vdd: float, q: float, spares: float,
-                 solver: str = "default") -> str:
-        """The canonical cache key for one deterministic quantile.
-
-        ``solver`` names the family of solvers whose answers may serve
-        the entry: answers that can differ in their last bits never share
-        a key.
-        """
+                 vdd: float, q: float, spares: float) -> str:
+        """The canonical cache key for one deterministic quantile."""
         return ":".join((
             tech.name, technology_fingerprint(tech),
             f"w{int(width)}", f"p{int(paths_per_lane)}",
             f"c{int(chain_length)}",
             f"gh{int(quad_within)}-{int(quad_corr_vth)}-{int(quad_corr_mult)}",
             f"v{float(vdd)!r}", f"q{float(q)!r}", f"s{float(spares)!r}",
-            f"m{solver}",
         ))
 
     # -- persistence ----------------------------------------------------------

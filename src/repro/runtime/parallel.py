@@ -17,8 +17,8 @@ so for a given root seed the concatenated output is *bit-identical* whether
 it was computed with ``jobs=1`` (fully in-process) or ``jobs=32``.  The
 sharded stream intentionally differs from the legacy single-``Generator``
 serial stream: it is a new, self-consistent stream keyed by the root seed.
-Quantile chunks likewise depend only on the query order and the chunk
-size, never on ``jobs``.
+Quantile roots are each a pure function of their own query point, so
+neither ``jobs`` nor the chunking ever changes a bit.
 
 **Observability**: when an :class:`~repro.obs.api.Observability` context is
 active, every shard dispatched to the pool carries the parent's
@@ -96,9 +96,7 @@ DEFAULT_SHM_MIN_BYTES = 1 << 16
 
 #: Default query points per quantile-solve chunk.  Small enough that a
 #: fig4-style per-node sweep (~12 points) still fans out across workers;
-#: part of the solve partition (changing it regroups spline clusters and
-#: can move results at the solver's ~1e-12 tolerance floor — changing
-#: ``jobs`` never does).
+#: results never depend on it (each root is a pure function of its point).
 DEFAULT_QUANTILE_CHUNK = 8
 
 #: Shard-size histogram bucket bounds (samples per shard).
@@ -317,8 +315,7 @@ def _quantile_chunk_core(task: dict) -> np.ndarray:
     return np.atleast_1d(engine.chip_quantile_batch(
         np.asarray(task["vdds"], dtype=float),
         np.asarray(task["qs"], dtype=float),
-        np.asarray(task["spares"], dtype=float),
-        cluster=task.get("cluster", True)))
+        np.asarray(task["spares"], dtype=float)))
 
 
 def _system_delays_shard(task: dict):
@@ -791,20 +788,17 @@ class ParallelSampler:
     def solve_quantiles(self, tech, vdds, qs, spares, *, width: int = 128,
                         paths_per_lane: int = 100, chain_length: int = 50,
                         quads=None,
-                        chunk_size: int = DEFAULT_QUANTILE_CHUNK,
-                        cluster: bool = True) -> np.ndarray:
+                        chunk_size: int = DEFAULT_QUANTILE_CHUNK) -> np.ndarray:
         """Deterministic chip-delay quantiles, chunk-sharded over the pool.
 
         ``vdds``/``qs``/``spares`` are equal-length 1-D point arrays;
         every ``chunk_size`` consecutive points become one worker task
         running :meth:`ChipDelayEngine.chip_quantile_batch` (workers
         memoise engines, so the Gauss-Hermite tabulations amortise across
-        chunks).  The partition depends only on the query order and
-        ``chunk_size``, never on ``jobs``, so results are reproducible
-        for a fixed chunking.  ``quads`` optionally pins the three
-        quadrature orders ``(within, corr_vth, corr_mult)``.
-        ``cluster=False`` forwards the engine's batch-composition-invariant
-        per-point solve, making results independent of the chunking too.
+        chunks).  Each root is a pure function of its own point, so
+        results are bit-identical for any ``jobs`` and any chunking.
+        ``quads`` optionally pins the three quadrature orders
+        ``(within, corr_vth, corr_mult)``.
         """
         vdds = np.asarray(vdds, dtype=float).ravel()
         qs = np.asarray(qs, dtype=float).ravel()
@@ -818,8 +812,7 @@ class ParallelSampler:
         common = dict(tech=tech, width=int(width),
                       paths_per_lane=int(paths_per_lane),
                       chain_length=int(chain_length),
-                      quads=tuple(int(q) for q in quads) if quads else None,
-                      cluster=bool(cluster))
+                      quads=tuple(int(q) for q in quads) if quads else None)
         tasks = []
         for i, start in enumerate(range(0, vdds.size, int(chunk_size))):
             sl = slice(start, start + int(chunk_size))

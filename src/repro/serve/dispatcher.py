@@ -1,9 +1,9 @@
 """Micro-batching dispatcher: coalesce concurrent queries into batch solves.
 
-Scalar sign-off solves cost ~5-10 ms each while the batched solver
-amortises kernel construction and polishes all roots simultaneously
-(4-7x per ``BENCH_quantile.json``) — but only if many points share one
-call.  :class:`MicroBatchDispatcher` recovers that batching across
+One-point sign-off solves cost ~3-10 ms each, while a batch amortises
+kernel construction and polishes all roots simultaneously (a 48-point
+sweep in 83-208 ms per ``BENCH_quantile.json``) — but only if many
+points share one call.  :class:`MicroBatchDispatcher` recovers that batching across
 *clients*: every in-flight ``(vdd, spares, q)`` point lands in a
 per-:class:`~repro.serve.protocol.EngineKey` bucket that is flushed into
 one ``chip_quantile_batch`` call when it reaches ``max_batch`` points or
@@ -11,12 +11,10 @@ when the oldest point has waited ``window_s`` (whichever first).
 
 Correctness guarantees, in order of subtlety:
 
-- **Bit-identical coalescing.**  Batches are solved with the engine's
-  ``cluster=False`` mode (``invariant=True`` at the analyzer), under
-  which every root is a pure function of its own query point.  Grouping
-  queries from unrelated clients therefore returns exactly the bits a
-  direct per-point call would — coalescing is an invisible optimisation,
-  not an approximation.
+- **Bit-identical coalescing.**  The engine's batch solver makes every
+  root a pure function of its own query point, so grouping queries from
+  unrelated clients returns exactly the bits a direct per-point call
+  would — coalescing is an invisible optimisation, not an approximation.
 - **Single-flight.**  A point already being solved is joined, never
   re-enqueued: N clients racing on a cold key trigger one solve
   (``serve.singleflight_joins`` counts the stampede that didn't happen).

@@ -289,7 +289,7 @@ class SignoffServer:
             with self._runtime.obs.tracer.span(
                     "serve.solve", ctx=ctx, node=key.node,
                     points=len(points)):
-                out = analyzer.chip_quantiles(vdds, sps, qs, invariant=True)
+                out = analyzer.chip_quantiles(vdds, sps, qs)
         return [float(v) for v in np.atleast_1d(out)]
 
     def _solve_tail(self, key: TailKey, points, ctx=None) -> list:

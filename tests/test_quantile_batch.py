@@ -1,5 +1,7 @@
-"""Batched quantile solver: parity with the scalar path, kernel caching,
-and the analyzer/disk-cache threading."""
+"""Batched quantile solver: parity with Brent over the CDF, kernel
+caching, and the analyzer/disk-cache threading."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ def engine(tech90):
                            chain_length=20)
 
 
-# -- batch vs scalar parity ----------------------------------------------------
+# -- batch vs Brent parity -----------------------------------------------------
 
 
 @pytest.mark.parametrize("node", available_technologies())
@@ -27,7 +29,7 @@ def test_batch_matches_scalar_across_nodes(node):
     tech = engine.tech
     vdds = np.linspace(tech.min_vdd, tech.nominal_vdd, 12)
     batch = engine.chip_quantile_batch(vdds, 0.99, 0.0)
-    scalar = np.array([engine.chip_quantile(v, 0.99) for v in vdds])
+    scalar = np.array([engine._brent_quantile(v, 0.99, 0.0) for v in vdds])
     np.testing.assert_allclose(batch, scalar, rtol=1e-10)
 
 
@@ -37,8 +39,7 @@ def test_batch_matches_scalar_quantiles_and_fractional_spares(engine, q,
                                                               spares):
     vdds = np.linspace(0.5, 0.8, 9)
     batch = engine.chip_quantile_batch(vdds, q, spares)
-    scalar = np.array([engine.chip_quantile(v, q, spares=spares)
-                       for v in vdds])
+    scalar = np.array([engine._brent_quantile(v, q, spares) for v in vdds])
     np.testing.assert_allclose(batch, scalar, rtol=1e-10)
 
 
@@ -51,7 +52,9 @@ def test_batch_broadcasts_and_scalar_returns_float(engine):
     assert grid[1, 0] < grid[0, 0]
     scalar = engine.chip_quantile_batch(0.6, 0.99, 0.0)
     assert np.ndim(scalar) == 0
-    assert scalar == pytest.approx(engine.chip_quantile(0.6), rel=1e-10)
+    assert scalar == engine.chip_quantile(0.6)
+    assert scalar == pytest.approx(engine._brent_quantile(0.6, 0.99, 0.0),
+                                   rel=1e-10)
 
 
 def test_batch_dedupes_repeated_points(engine):
@@ -67,6 +70,24 @@ def test_batch_validates_inputs(engine):
         engine.chip_quantile_batch(np.array([0.6]), 1.5, 0.0)
     with pytest.raises(ConfigurationError):
         engine.chip_quantile_batch(np.array([0.6]), 0.99, -1.0)
+
+
+@pytest.mark.parametrize("entry", ["chip_quantile", "chip_quantile_batch"])
+@pytest.mark.parametrize("vdd, spares, field", [
+    (0.6, float("nan"), "spares"),
+    (0.6, float("inf"), "spares"),
+    (float("nan"), 0.0, "vdd"),
+    (float("inf"), 0.0, "vdd"),
+    (0.0, 0.0, "vdd"),
+])
+def test_engine_rejects_non_finite_points_before_any_kernel_build(
+        tech90, entry, vdd, spares, field):
+    """Regression: NaN spares returned a quantile, a NaN vdd ran the
+    whole rescue ladder before failing."""
+    engine = _fresh_engine(tech90)
+    with pytest.raises(ConfigurationError, match=field):
+        getattr(engine, entry)(vdd, 0.99, spares)
+    assert engine.kernel_misses == 0 and not engine._kernel_cache
 
 
 # -- cached CDF kernels --------------------------------------------------------
@@ -170,7 +191,7 @@ def test_cache_get_many_disabled(tmp_path):
     assert cache.misses == 2
 
 
-# -- batch-composition invariance (cluster=False) ------------------------------
+# -- batch-composition invariance ---------------------------------------------
 
 
 def _fresh_engine(tech90):
@@ -179,7 +200,7 @@ def _fresh_engine(tech90):
 
 
 def test_invariant_mode_bit_identical_across_groupings(tech90):
-    """cluster=False roots depend only on their own point, never the batch.
+    """Roots depend only on their own point, never the batch.
 
     This is the serving dispatcher's contract: coalescing queries from
     unrelated clients must return exactly the bits a direct per-point
@@ -187,64 +208,73 @@ def test_invariant_mode_bit_identical_across_groupings(tech90):
     points is bit-identical.
     """
     vdds = np.array([0.5, 0.55, 0.6, 0.7, 0.45])
-    batch = _fresh_engine(tech90).chip_quantile_batch(vdds, 0.99, 0.0,
-                                                      cluster=False)
-    singles = np.array([
-        _fresh_engine(tech90).chip_quantile_batch(v, 0.99, 0.0,
-                                                  cluster=False)
-        for v in vdds])
+    batch = _fresh_engine(tech90).chip_quantile_batch(vdds, 0.99, 0.0)
+    singles = np.array([_fresh_engine(tech90).chip_quantile(v, 0.99, 0.0)
+                        for v in vdds])
     np.testing.assert_array_equal(singles, batch)
     permuted = _fresh_engine(tech90).chip_quantile_batch(
-        vdds[::-1], 0.99, 0.0, cluster=False)[::-1]
+        vdds[::-1], 0.99, 0.0)[::-1]
     np.testing.assert_array_equal(permuted, batch)
     chunked = _fresh_engine(tech90).chip_quantile_batch(
-        vdds, 0.99, 0.0, cluster=False, chunk_size=2)
+        vdds, 0.99, 0.0, chunk_size=2)
     np.testing.assert_array_equal(chunked, batch)
-
-
-def test_invariant_mode_close_to_clustered(tech90):
-    """Both modes solve the same equation to ~1e-12 relative."""
-    vdds = np.linspace(0.5, 0.8, 10)
-    a = _fresh_engine(tech90).chip_quantile_batch(vdds, 0.99, 0.0)
-    b = _fresh_engine(tech90).chip_quantile_batch(vdds, 0.99, 0.0,
-                                                  cluster=False)
-    np.testing.assert_allclose(a, b, rtol=1e-11)
+    # The ignored `cluster` keyword changes nothing.
+    legacy = _fresh_engine(tech90).chip_quantile_batch(vdds, 0.99, 0.0,
+                                                       cluster=False)
+    np.testing.assert_array_equal(legacy, batch)
 
 
 def test_analyzer_invariant_solves_match_engine(tmp_path, tech90):
-    """analyzer.chip_quantiles(invariant=True) returns the engine's bits."""
+    """analyzer.chip_quantiles returns the engine's bits."""
     analyzer = VariationAnalyzer(
         tech90, width=16, paths_per_lane=10, chain_length=20,
         quantile_cache=QuantileCache(path=str(tmp_path / "q.json"),
                                      enabled=True))
     vdds = np.array([0.5, 0.6, 0.7])
-    got = analyzer.chip_quantiles(vdds, 0, 0.99, invariant=True)
-    expected = _fresh_engine(tech90).chip_quantile_batch(
-        vdds, 0.99, 0.0, cluster=False)
+    got = analyzer.chip_quantiles(vdds, 0, 0.99)
+    expected = _fresh_engine(tech90).chip_quantile_batch(vdds, 0.99, 0.0)
     np.testing.assert_array_equal(got, expected)
 
 
-def test_invariant_answers_never_served_from_scalar_warmed_cache(tmp_path):
-    """Regression: a shared cache dir served /v1 whatever solved it first.
+@pytest.mark.parametrize("shared", ["memo", "disk"])
+def test_answers_independent_of_call_history(tmp_path, shared):
+    """Regression: the scalar and batch entry points shared one memo and
+    disk key but were filled by different solvers, so at 45 nm the bits
+    a point returned depended on which entry point solved it first (all
+    12 points differed, by up to 7.6e-13 relative).
 
-    The memo and disk keys did not name the solver, so an invariant query
-    after a scalar solve at the same point returned the scalar bits
-    (0x1.2d92ee8ae9676p-27 instead of 0x1.2d92ee8ae9508p-27 at 90 nm,
-    0.61 V).
+    ``memo``: one analyzer per order.  ``disk``: the second entry point
+    runs in a fresh analyzer that can only reuse the first one's disk
+    entries.
     """
-    def analyzer(directory):
-        return VariationAnalyzer("90nm", quantile_cache=QuantileCache(
-            path=str(tmp_path / directory / "quantiles.json"),
+    vdds = np.linspace(0.5, 0.8, 12)
+
+    def analyzer(tag):
+        return VariationAnalyzer("45nm", quantile_cache=QuantileCache(
+            path=str(tmp_path / shared / tag / "quantiles.json"),
             enabled=True))
 
-    analyzer("shared").chip_quantile(0.61)
-    served = analyzer("shared").chip_quantiles([0.61], invariant=True)[0]
-    cold = analyzer("cold").chip_quantiles([0.61], invariant=True)[0]
-    assert served.hex() == cold.hex()
-    # And the scalar entry is still a hit for the scalar path.
-    warm = analyzer("shared")
-    warm.chip_quantile(0.61)
-    assert warm.quantile_cache.hits == 1
+    def scalar(a):
+        return np.array([a.chip_quantile(v) for v in vdds])
+
+    first = analyzer("scalar-first")
+    scalar_first = scalar(first)
+    if shared == "disk":
+        first = analyzer("scalar-first")
+    batch_second = first.chip_quantiles(vdds)
+    if shared == "disk":
+        assert first.quantile_cache.misses == 0
+
+    first = analyzer("batch-first")
+    batch_first = first.chip_quantiles(vdds)
+    if shared == "disk":
+        first = analyzer("batch-first")
+    scalar_second = scalar(first)
+    if shared == "disk":
+        assert first.quantile_cache.misses == 0
+
+    for got in (batch_second, batch_first, scalar_second):
+        assert [v.hex() for v in got] == [v.hex() for v in scalar_first]
 
 
 @pytest.mark.parametrize("vdd", [0.0, -0.5, float("inf"), float("nan")])
@@ -259,6 +289,32 @@ def test_analyzer_rejects_bad_vdd_before_any_cache_probe(vdd, tech90):
         analyzer.chip_quantile(vdd)
     with pytest.raises(ConfigurationError, match="vdd"):
         analyzer.chip_quantiles(np.array([0.6, vdd]))
-    with pytest.raises(ConfigurationError, match="vdd"):
-        analyzer.chip_quantiles(vdd, invariant=True)
     assert analyzer._signoff_cache == {}
+
+
+# -- step cards ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("zeroed", [
+    ("sigma_vth_wid", "sigma_mult_rand"),                   # no gate level
+    ("sigma_vth_wid", "sigma_mult_rand", "sigma_vth_lane",
+     "sigma_mult_lane"),                                    # die level only
+], ids=["gate-level-zeroed", "die-level-only"])
+def test_step_cards_take_brent_roots(tech90, zeroed):
+    """Without gate-level variation the chip CDF is a step function, and
+    the batch evaluator places its jumps ~1e-8 away from `chip_cdf`'s.
+    Such cards are solved by Brent over `chip_cdf`, bit for bit."""
+    tech = tech90.with_variation(
+        replace(tech90.variation, **{f: 0.0 for f in zeroed}))
+    engine = ChipDelayEngine(tech)
+    assert engine._step_card
+    vdds = np.array([0.55, 0.57, 0.6])
+    got = engine.chip_quantile_batch(vdds[:, None], 0.99,
+                                     np.array([0.0, 32.0]))
+    reference = ChipDelayEngine(tech)
+    for (i, j), value in np.ndenumerate(got):
+        sp = (0.0, 32.0)[j]
+        assert value.hex() == reference._brent_quantile(
+            vdds[i], 0.99, sp).hex()
+    assert not ChipDelayEngine(tech90)._step_card
+

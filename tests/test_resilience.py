@@ -403,7 +403,7 @@ def test_solver_montecarlo_last_resort(small_engine, monkeypatch):
     def broken_scalar(self, *args, **kwargs):
         raise ConvergenceError("scalar solver down for this test")
 
-    monkeypatch.setattr(ChipDelayEngine, "chip_quantile", broken_scalar)
+    monkeypatch.setattr(ChipDelayEngine, "_brent_quantile", broken_scalar)
     obs = build_obs(metrics=True)
     with activate_obs(obs), install_faults(parse_faults("solver_nan:1")):
         out = small_engine.chip_quantile_batch(vdds, 0.99, 0.0)
@@ -418,7 +418,7 @@ def test_solver_unrecoverable_raises_with_coordinates(small_engine,
     def broken_scalar(self, *args, **kwargs):
         raise ConvergenceError("down")
 
-    monkeypatch.setattr(ChipDelayEngine, "chip_quantile", broken_scalar)
+    monkeypatch.setattr(ChipDelayEngine, "_brent_quantile", broken_scalar)
     monkeypatch.setattr(ChipDelayEngine, "_montecarlo_quantile",
                         lambda self, *a, **k: float("nan"))
     with install_faults(parse_faults("solver_nan:0")):

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.core.analyzer import VariationAnalyzer
 from repro.core.chip_delay import ChipDelayEngine
 from repro.devices.technology import get_technology
 from repro.errors import ConfigurationError
@@ -27,7 +28,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.openmetrics import check_openmetrics, parse_openmetrics
 from repro.obs.trace import Tracer
 from repro.resilience import RetryPolicy, parse_faults
-from repro.runtime import build_runtime
+from repro.runtime import activate_runtime, build_runtime
 from repro.serve import (
     BadRequestError,
     CircuitOpenError,
@@ -52,10 +53,10 @@ NODES = frozenset({"90nm", "45nm", "32nm", "22nm"})
 
 
 def direct_values(vdds, qs=0.99, spares=0.0):
-    """The reference bits: a fresh engine's invariant batch solve."""
+    """The reference bits: a fresh engine's batch solve."""
     engine = ChipDelayEngine(get_technology("22nm"), **ARCH)
-    out = engine.chip_quantile_batch(
-        np.asarray(vdds, dtype=float), qs, spares, cluster=False)
+    out = engine.chip_quantile_batch(np.asarray(vdds, dtype=float), qs,
+                                     spares)
     return [float(v) for v in np.atleast_1d(out)]
 
 
@@ -375,6 +376,34 @@ def test_server_roundtrip_bit_identical(fresh_cache):
     assert health["ok"] is True
 
 
+def test_cli_warmed_cache_serves_the_server(tmp_path, monkeypatch):
+    """A cache filled by a CLI-style run answers the server without a
+    single solve, with the bits a cold server computes itself."""
+    vdds = [round(0.5 + 0.01 * i, 9) for i in range(10)]
+
+    def serve(tag):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / tag))
+        with ServerHarness(ServeConfig(port=0)) as h:
+            with h.client() as c:
+                hexes = c.query("22nm", vdd=vdds, **ARCH)["values_hex"]
+            cache = h.server._cache
+        return hexes, cache.hits, cache.misses
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "warm"))
+    runtime = build_runtime(jobs=1)
+    try:
+        # Enough points to take the CLI's chunked sampler route.
+        with activate_runtime(runtime):
+            VariationAnalyzer("22nm", **ARCH).chip_quantiles(vdds)
+    finally:
+        runtime.close()
+    warm = serve("warm")
+    cold = serve("cold")
+    assert warm[0] == cold[0]
+    assert warm[1:] == (len(vdds), 0)
+    assert cold[1:] == (0, len(vdds))
+
+
 def test_server_signoff_sweep_matches_analyzer_math(fresh_cache):
     vdds = [0.5, 0.6]
     with ServerHarness(ServeConfig(port=0)) as h:
@@ -475,7 +504,7 @@ def test_serve_chaos_solver_nan_bit_identical(fresh_cache):
     The first (single-point) request pins the poisoned index: the rescue
     ladder's scalar Brent fallback answers it, and every *other* point —
     served while the fault fires mid-flight — must still match the
-    invariant batch bits exactly.
+    batch bits exactly.
     """
     runtime = build_runtime(jobs=1, metrics=True,
                             faults=parse_faults("solver_nan:0"))
@@ -497,7 +526,7 @@ def test_serve_chaos_solver_nan_bit_identical(fresh_cache):
     finally:
         runtime.close()
     engine = ChipDelayEngine(get_technology("22nm"), **ARCH)
-    assert rescued == engine.chip_quantile(poisoned_vdd, 0.99, 0.0)
+    assert rescued == engine._brent_quantile(poisoned_vdd, 0.99, 0.0)
     assert got == direct_values(burst)
     snap = runtime.obs.metrics.as_dict()
     assert snap["counters"]["resilience.solver.fallback_scalar"] == 1
@@ -1388,9 +1417,9 @@ def test_serve_network_chaos_twin_bit_identical(tmp_path, monkeypatch):
     hex_b, snap_b, flight_b, retries_b = run_once("run-b")
     # the poisoned first point answers via the scalar Brent rescue
     # (same bits as the rescue ladder in a clean CLI run); every other
-    # point must match the invariant batch exactly
+    # point must match the batch exactly
     engine = ChipDelayEngine(get_technology("22nm"), **ARCH)
-    expected = [float(engine.chip_quantile(vdds[0], 0.99, 0.0)).hex()]
+    expected = [engine._brent_quantile(vdds[0], 0.99, 0.0).hex()]
     expected += [v.hex() for v in direct_values(vdds[1:])]
     assert hex_a == expected
     assert hex_b == expected
@@ -1487,7 +1516,6 @@ def test_server_tail_quantile_roundtrip(fresh_cache):
     assert metrics["counters"]["serve.tail_points"] >= 2
     # The solve is deterministic: a local analyzer at the same
     # architecture reproduces the served bits exactly.
-    from repro.core.analyzer import VariationAnalyzer
     local = VariationAnalyzer("22nm", **ARCH).chip_tail_quantile(
         0.55, 0.999, n_samples=256, root_seed=3)
     assert local.value.hex() in first["values_hex"]
